@@ -8,7 +8,7 @@
       experiments --resume           # skip jobs journaled by an interrupted run
       experiments --connect /tmp/wishd.sock fig10   # run through a wishd daemon
       experiments cache verify       # integrity-check _wishcache/
-      experiments cache prune        # evict stale entries, quarantine corrupt ones
+      experiments cache prune        # evict stale and retired-kind entries, quarantine corrupt ones
       experiments cache stats        # occupancy: entries, bytes, versions, quarantine *)
 
 open Cmdliner
@@ -237,8 +237,10 @@ let cache_verify dir quiet =
 let cache_prune dir =
   let cache = Cache.create ?dir () in
   let r = Cache.prune cache in
-  Fmt.pr "%s: kept %d, evicted %d stale, quarantined %d corrupt (see %s)@." (Cache.dir cache)
-    r.kept r.evicted_stale r.quarantined (Cache.quarantine_dir cache)
+  Fmt.pr "%s: kept %d, evicted %d stale, evicted %d retired (%s), quarantined %d corrupt (see %s)@."
+    (Cache.dir cache) r.kept r.evicted_stale r.evicted_retired
+    (String.concat ", " Cache.retired_kinds)
+    r.quarantined (Cache.quarantine_dir cache)
 
 let cache_stats dir =
   let cache = Cache.create ?dir () in
@@ -277,7 +279,11 @@ let cache_cmd =
   let prune =
     Cmd.v
       (Cmd.info "prune"
-         ~doc:"Evict stale-format entries and move corrupt ones to the quarantine directory")
+         ~doc:
+           (Printf.sprintf
+              "Evict stale-format entries and entries of retired kinds (%s), and move corrupt \
+               ones to the quarantine directory"
+              (String.concat ", " Cache.retired_kinds)))
       Term.(const cache_prune $ cache_dir_arg)
   in
   let stats =

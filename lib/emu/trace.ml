@@ -429,6 +429,23 @@ let generate ?fuel ?hint program =
   t.free <- [];
   (t, g.g_state)
 
+(** [count ?fuel program] — the dynamic length {!generate} would record,
+    without recording it: the same predicate-through run with the
+    per-step callback elided ({!Compiled.no_sink}), or the reference
+    interpreter under {!use_interpreter}. Raises {!Out_of_fuel} at
+    exactly the instruction {!generate} would. *)
+let count ?fuel program =
+  let g = mk_gen ?fuel program in
+  let st = g.g_state in
+  (match g.g_compiled with
+  | Some c -> Compiled.run_to_halt c st g.g_out ~sink:Compiled.no_sink ~fuel:g.g_fuel
+  | None ->
+    while not st.State.halted do
+      if st.State.retired >= g.g_fuel then raise (Out_of_fuel g.g_fuel);
+      Exec.step_into Exec.Predicate_through g.g_code st g.g_out
+    done);
+  st.State.retired
+
 (** [stream ?fuel ?chunk_bits program] — a lazily generated trace whose
     chunks are recycled as the consumer {!release}s them. [chunk_bits]
     sizes chunks at [2^chunk_bits] entries (tests shrink it to force

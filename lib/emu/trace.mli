@@ -132,6 +132,13 @@ val use_interpreter : bool ref
     architectural-mode outcome — a property the test suite checks). *)
 val generate : ?fuel:int -> ?hint:int -> Wish_isa.Program.t -> t * State.t
 
+(** [count ?fuel program] — [length (fst (generate ?fuel program))]
+    without recording a single entry: a predicate-through run with no
+    per-step sink (the reference interpreter under {!use_interpreter}).
+    Raises {!Out_of_fuel} at exactly the instruction {!generate} would.
+    Sizes {!Wish_sim.Sampler.auto} specs for trace-free sampled runs. *)
+val count : ?fuel:int -> Wish_isa.Program.t -> int
+
 (** [stream ?fuel ?chunk_bits program] — lazy bounded-memory trace over
     the same execution; [chunk_bits] sizes chunks at [2^chunk_bits]
     entries (default 15; tests shrink it to force chunk crossings). *)

@@ -272,7 +272,7 @@ let scan t =
       (Sys.readdir t.root);
   List.sort (fun (a, _) (b, _) -> compare a b) !entries
 
-type prune_report = { kept : int; evicted_stale : int; quarantined : int }
+type prune_report = { kept : int; evicted_stale : int; evicted_retired : int; quarantined : int }
 
 type verify_report = {
   v_entries : (string * status) list;
@@ -361,20 +361,32 @@ let stats t =
     st_journal_keys = Hashtbl.length (journal_load t);
   }
 
+(* The Lab wrote one [trace/] entry per (bench, kind, input, scale) until
+   it stopped materializing traces; nothing reads them any more. *)
+let retired_kinds = [ "trace" ]
+
 let prune t =
-  List.fold_left
-    (fun acc (rel, status) ->
-      let file = Filename.concat t.root rel in
-      match status with
-      | Entry_ok -> { acc with kept = acc.kept + 1 }
-      | Entry_stale _ ->
-        (try Sys.remove file with Sys_error _ -> ());
-        { acc with evicted_stale = acc.evicted_stale + 1 }
-      | Entry_corrupt _ ->
-        quarantine t file ~kind:(Filename.basename (Filename.dirname rel));
-        { acc with quarantined = acc.quarantined + 1 })
-    { kept = 0; evicted_stale = 0; quarantined = 0 }
-    (scan t)
+  let report =
+    List.fold_left
+      (fun acc (rel, status) ->
+        let file = Filename.concat t.root rel in
+        let kind = Filename.basename (Filename.dirname rel) in
+        match status with
+        | _ when List.mem kind retired_kinds ->
+          (try Sys.remove file with Sys_error _ -> ());
+          { acc with evicted_retired = acc.evicted_retired + 1 }
+        | Entry_ok -> { acc with kept = acc.kept + 1 }
+        | Entry_stale _ ->
+          (try Sys.remove file with Sys_error _ -> ());
+          { acc with evicted_stale = acc.evicted_stale + 1 }
+        | Entry_corrupt _ ->
+          quarantine t file ~kind;
+          { acc with quarantined = acc.quarantined + 1 })
+      { kept = 0; evicted_stale = 0; evicted_retired = 0; quarantined = 0 }
+      (scan t)
+  in
+  List.iter (fun k -> try Sys.rmdir (Filename.concat t.root k) with Sys_error _ -> ()) retired_kinds;
+  report
 
 let clear t =
   let rec rm d =

@@ -114,10 +114,20 @@ type verify_report = {
     [v_quarantined = 0]. *)
 val verify : t -> verify_report
 
-type prune_report = { kept : int; evicted_stale : int; quarantined : int }
+type prune_report = {
+  kept : int;
+  evicted_stale : int;
+  evicted_retired : int;  (** entries of a {!retired_kinds} kind, whatever their status *)
+  quarantined : int;
+}
 
-(** [prune t] — {!scan}, then delete stale-version entries and move
-    corrupt ones to the quarantine. *)
+(** Kind directories no current writer produces (["trace"]); {!prune}
+    evicts every entry under them. *)
+val retired_kinds : string list
+
+(** [prune t] — {!scan}, then delete every entry of a {!retired_kinds}
+    kind, delete stale-version entries, and move corrupt ones to the
+    quarantine. *)
 val prune : t -> prune_report
 
 (** Occupancy snapshot for [experiments cache stats] — what the service

@@ -1,5 +1,5 @@
-(** The lab: compiles each workload's five binaries once, memoizes emulator
-    traces and simulation results, and hands figure generators their data.
+(** The lab: compiles each workload's five binaries once, memoizes
+    simulation results, and hands figure generators their data.
 
     Evaluation protocol (mirroring the paper's methodology):
     - binaries are compiled with profile feedback from each workload's
@@ -11,13 +11,17 @@
 
     Performance machinery on top of the memo tables:
     - an optional {!Wish_util.Pool} of worker domains: {!run_batch} and
-      {!prewarm} fan independent compile/trace/simulate jobs across it and
+      {!prewarm} fan independent compile/simulate jobs across it and
       fold the results back into the tables on the coordinating domain, so
       the tables are only ever mutated single-threaded and the outputs are
       bit-identical to the serial path;
-    - an optional persistent {!Cache}: traces and summaries are looked up
-      by (bench, kind, input, scale[, config]) before being recomputed and
-      stored after, making repeated runs incremental across processes.
+    - an optional persistent {!Cache}: summaries are looked up by
+      (bench, kind, input, scale, config) before being recomputed and
+      stored after, making repeated runs incremental across processes;
+    - trace-free simulation: no trace is ever materialized. Exact runs
+      stream emulation into the timing core (bounded trace residency);
+      sampled runs warm fused into the emulator, an auto spec sized by a
+      count-only emulator run ({!Wish_sim.Runner.simulate_sampled}).
 
     Fault tolerance ({!policy}): every batched stage runs under
     supervision — a job that raises (or whose worker domain dies; the
@@ -40,7 +44,7 @@ let fp_compile =
   Faultpoint.register "lab.compile" ~doc:"a compile job raises mid-batch (fails that bench's jobs)"
 
 let fp_trace =
-  Faultpoint.register "lab.trace" ~doc:"a trace-generation job raises mid-batch"
+  Faultpoint.register "lab.trace" ~doc:"a simulation job raises before its emulator starts"
 
 let fp_simulate =
   Faultpoint.register "lab.simulate" ~doc:"a simulation job raises mid-batch"
@@ -95,7 +99,7 @@ type batch_stats = {
 }
 
 (** How the lab simulates: [Sample_auto] scales a sampling spec to each
-    trace's length; [Sample_spec] uses one fixed spec everywhere. *)
+    run's dynamic length; [Sample_spec] uses one fixed spec everywhere. *)
 type sampling = Sample_auto | Sample_spec of Wish_sim.Sampler.spec
 
 let sampling_key = function
@@ -106,7 +110,6 @@ type t = {
   scale : int;
   mutable benches : Wish_workloads.Bench.t list;
   binaries : (string, Compiler.binaries) Hashtbl.t;
-  traces : (string * string * string, Wish_emu.Trace.t) Hashtbl.t;
   results : (string * string * string * Wish_sim.Config.t, Wish_sim.Runner.summary) Hashtbl.t;
   mutable log : string -> unit;
   pool : Pool.t option;
@@ -132,7 +135,6 @@ let create ?(scale = 1) ?names ?(jobs = 1) ?cache ?(resume = false) ?sample
     scale;
     benches = List.map (Wish_workloads.Workloads.find ~scale) names;
     binaries = Hashtbl.create 16;
-    traces = Hashtbl.create 64;
     results = Hashtbl.create 256;
     log = ignore;
     pool = (if jobs > 1 then Some (Pool.create ~size:jobs ()) else None);
@@ -179,9 +181,6 @@ let bench t name =
 (* Cache keys                                                       *)
 (* --------------------------------------------------------------- *)
 
-let trace_cache_key t ~bench ~kind ~input =
-  Printf.sprintf "%s|%s|%s|scale%d" bench kind input t.scale
-
 (* Sampled results live under distinct keys (suffix [|sampleW:D] or
    [|sampleauto]); exact summaries keep their historical keys, so a
    cache survives turning sampling on and off. *)
@@ -192,28 +191,27 @@ let summary_cache_key t ~bench ~kind ~input ~config =
   match t.sample with None -> base | Some s -> base ^ "|sample" ^ sampling_key s
 
 (* The exact/sampled switch, shared by the serial and batched paths.
-   [pool] parallelizes the measurement windows inside one simulation —
-   only the serial path passes it (batched jobs already occupy the
-   worker domains). *)
-let simulate_with t ?pool ~config ~trace p =
+   Neither materializes a trace: exact runs stream, sampled runs warm
+   fused (no spec = auto, sized by a count-only run). [pool]
+   parallelizes the measurement windows inside one simulation — only the
+   serial path passes it (batched jobs already occupy the worker
+   domains). *)
+let simulate_with t ?pool ~config p =
   match t.sample with
-  | None -> Wish_sim.Runner.simulate ~config ~trace p
+  | None -> Wish_sim.Runner.simulate ~config ~streaming:true p
   | Some s ->
-    let spec =
-      match s with
-      | Sample_spec sp -> sp
-      | Sample_auto -> Wish_sim.Sampler.auto ~length:(Wish_emu.Trace.length trace)
-    in
-    fst (Wish_sim.Runner.simulate_sampled ?pool ~config ~spec ~trace p)
+    let spec = match s with Sample_spec sp -> Some sp | Sample_auto -> None in
+    fst (Wish_sim.Runner.simulate_sampled ?pool ~config ?spec p)
 
-let cached_trace t key =
-  match t.cache with None -> None | Some c -> Cache.find c ~kind:"trace" ~key
+(* Progress line naming the run's machine by the summary key's config
+   digest, so runs differing only in configuration stay distinguishable. *)
+let log_simulating t ~bench ~kind_n ~input ~config =
+  t.log
+    (Printf.sprintf "simulating %s/%s input %s cfg %s" bench kind_n input
+       (String.sub (Cache.digest_of config) 0 8))
 
 let cached_summary t key =
   match t.cache with None -> None | Some c -> Cache.find c ~kind:"summary" ~key
-
-let store_trace t key tr =
-  match t.cache with None -> () | Some c -> Cache.store c ~kind:"trace" ~key tr
 
 (* Summaries are the unit of batch completion: storing one also journals
    its key, which is what lets an interrupted batch resume. *)
@@ -246,28 +244,6 @@ let program t ~bench:name ~kind ~input =
   let b = bench t name in
   Wish_workloads.Bench.program_for b (Compiler.binary (binaries t name) kind) input
 
-let trace t ~bench:name ~kind ~input =
-  let kind_n = Policy.kind_name kind in
-  let key = (name, kind_n, input) in
-  match Hashtbl.find_opt t.traces key with
-  | Some tr -> tr
-  | None ->
-    let ckey = trace_cache_key t ~bench:name ~kind:kind_n ~input in
-    let tr =
-      match cached_trace t ckey with
-      | Some tr ->
-        t.stats.cache_hits <- t.stats.cache_hits + 1;
-        t.log (Printf.sprintf "cache hit: trace %s/%s input %s" name kind_n input);
-        tr
-      | None ->
-        let hint = (bench t name).approx_dyn_insts in
-        let tr, _ = Wish_emu.Trace.generate ~hint (program t ~bench:name ~kind ~input) in
-        store_trace t ckey tr;
-        tr
-    in
-    Hashtbl.add t.traces key tr;
-    tr
-
 (** [run t ~bench ~kind ?input ?config ()] — memoized simulation. *)
 let run t ~bench:name ~kind ?(input = eval_input) ?(config = Wish_sim.Config.default) () =
   let kind_n = Policy.kind_name kind in
@@ -283,13 +259,10 @@ let run t ~bench:name ~kind ?(input = eval_input) ?(config = Wish_sim.Config.def
         t.log (Printf.sprintf "cache hit: summary %s/%s input %s" name kind_n input);
         s
       | None ->
-        let tr = trace t ~bench:name ~kind ~input in
         let p = program t ~bench:name ~kind ~input in
-        t.log
-          (Printf.sprintf "simulating %s/%s input %s (%d dynamic insts)" name kind_n input
-             (Wish_emu.Trace.length tr));
+        log_simulating t ~bench:name ~kind_n ~input ~config;
         let pool = if t.sample_parallel then t.pool else None in
-        let s = simulate_with t ?pool ~config ~trace:tr p in
+        let s = simulate_with t ?pool ~config p in
         store_summary t ckey s;
         s
     in
@@ -432,7 +405,7 @@ let describe_job j =
 
 (** [run_batch_results t jobs] — the supervised parallel twin of {!run}:
     resolves every job (memo table, then disk cache, then
-    compile/trace/simulate fanned over the worker pool, each stage under
+    compile/simulate fanned over the worker pool, each stage under
     the retry/timeout policy) and returns per-job outcomes in [jobs]
     order. All memo and cache mutation happens on the calling domain. *)
 let run_batch_results ?(policy = default_policy) t jobs =
@@ -491,95 +464,33 @@ let run_batch_results ?(policy = default_policy) t jobs =
         end)
       todo
   in
-  (* Stage 3: generate missing traces (one job per (bench, kind, input),
-     shared by every configuration of the same binary/input pair). *)
-  let failed_traces : (string * string * string, failure) Hashtbl.t = Hashtbl.create 4 in
-  let trace_todo =
-    uniq
-      (fun (name, kind_n, _, input) -> (name, kind_n, input))
-      (List.filter_map
-         (fun j ->
-           let kind_n = Policy.kind_name j.job_kind in
-           if Hashtbl.mem t.traces (j.job_bench, kind_n, j.job_input) then None
-           else Some (j.job_bench, kind_n, j.job_kind, j.job_input))
-         todo)
-  in
-  let trace_todo =
-    List.filter
-      (fun (name, kind_n, _, input) ->
-        match cached_trace t (trace_cache_key t ~bench:name ~kind:kind_n ~input) with
-        | Some tr ->
-          t.stats.cache_hits <- t.stats.cache_hits + 1;
-          t.log (Printf.sprintf "cache hit: trace %s/%s input %s" name kind_n input);
-          Hashtbl.add t.traces (name, kind_n, input) tr;
-          false
-        | None -> true)
-      trace_todo
-  in
-  if trace_todo <> [] then begin
-    let tasks =
-      List.map
-        (fun (name, kind_n, kind, input) ->
-          t.log (Printf.sprintf "tracing %s/%s input %s" name kind_n input);
-          ((name, kind_n, input), (bench t name).approx_dyn_insts, program t ~bench:name ~kind ~input))
-        trace_todo
-    in
-    List.iter2
-      (fun (key, _, _) -> function
-        | Ok tr ->
-          Hashtbl.replace t.traces key tr;
-          let name, kind_n, input = key in
-          store_trace t (trace_cache_key t ~bench:name ~kind:kind_n ~input) tr
-        | Error fl -> Hashtbl.replace failed_traces key fl)
-      tasks
-      (supervised_map t ~policy ~stage:"trace"
-         ~describe:(fun ((name, kind_n, input), _, _) ->
-           Printf.sprintf "%s/%s input %s" name kind_n input)
-         (fun (_, hint, p) ->
-           Faultpoint.cut fp_trace;
-           fst (Wish_emu.Trace.generate ~hint p))
-         tasks)
-  end;
-  (* Stage 4: simulate. *)
+  (* Stage 3: simulate, trace-free. [lab.trace] is cut first, before the
+     emulator starts, so fault schedules that arm it stay valid. *)
   let failed_runs : (string * string * string * Wish_sim.Config.t, failure) Hashtbl.t =
     Hashtbl.create 4
   in
-  let sim_todo =
-    List.filter
-      (fun j ->
-        let kind_n = Policy.kind_name j.job_kind in
-        Hashtbl.mem t.traces (j.job_bench, kind_n, j.job_input))
-      todo
-  in
-  if sim_todo <> [] then begin
+  if todo <> [] then begin
     let tasks =
       List.map
         (fun j ->
-          let kind_n = Policy.kind_name j.job_kind in
-          let tr = Hashtbl.find t.traces (j.job_bench, kind_n, j.job_input) in
-          let p = program t ~bench:j.job_bench ~kind:j.job_kind ~input:j.job_input in
-          t.log
-            (Printf.sprintf "simulating %s/%s input %s (%d dynamic insts)" j.job_bench kind_n
-               j.job_input (Wish_emu.Trace.length tr));
-          (j, tr, p))
-        sim_todo
+          log_simulating t ~bench:j.job_bench ~kind_n:(Policy.kind_name j.job_kind)
+            ~input:j.job_input ~config:j.job_config;
+          (j, program t ~bench:j.job_bench ~kind:j.job_kind ~input:j.job_input))
+        todo
     in
     List.iter2
-      (fun (j, _, _) -> function
+      (fun (j, _) -> function
         | Ok s ->
           Hashtbl.replace t.results (memo_key j) s;
-          let kind_n = Policy.kind_name j.job_kind in
-          store_summary t
-            (summary_cache_key t ~bench:j.job_bench ~kind:kind_n ~input:j.job_input
-               ~config:j.job_config)
-            s
+          store_summary t (summary_key_of_job t j) s
         | Error fl -> Hashtbl.replace failed_runs (memo_key j) fl)
       tasks
-      (supervised_map t ~policy ~stage:"simulate" ~describe:(fun (j, _, _) -> describe_job j)
-         (fun (j, tr, p) ->
+      (supervised_map t ~policy ~stage:"simulate" ~describe:(fun (j, _) -> describe_job j)
+         (fun (j, p) ->
+           Faultpoint.cut fp_trace;
            Faultpoint.cut fp_simulate;
            if Faultpoint.fires fp_slow then Unix.sleepf (Faultpoint.delay_of fp_slow);
-           simulate_with t ~config:j.job_config ~trace:tr p)
+           simulate_with t ~config:j.job_config p)
          tasks)
   end;
   (* Assemble per-job outcomes, [jobs] order. *)
@@ -591,13 +502,9 @@ let run_batch_results ?(policy = default_policy) t jobs =
         match Hashtbl.find_opt failed_runs (memo_key j) with
         | Some fl -> Error fl
         | None -> (
-          let kind_n = Policy.kind_name j.job_kind in
-          match Hashtbl.find_opt failed_traces (j.job_bench, kind_n, j.job_input) with
+          match Hashtbl.find_opt failed_benches j.job_bench with
           | Some fl -> Error fl
-          | None -> (
-            match Hashtbl.find_opt failed_benches j.job_bench with
-            | Some fl -> Error fl
-            | None -> assert false))))
+          | None -> assert false)))
     jobs
 
 (** [run_batch t jobs] — {!run_batch_results}, failures raised: the first

@@ -1,6 +1,5 @@
 (** The lab: compiles each workload's five binaries once, memoizes
-    emulator traces and simulation results, and hands figure generators
-    their data.
+    simulation results, and hands figure generators their data.
 
     Evaluation protocol (mirroring the paper's methodology):
     - binaries are compiled with profile feedback from each workload's
@@ -14,7 +13,13 @@
     Performance machinery: an optional {!Wish_util.Pool} of worker
     domains ({!run_batch}/{!prewarm} fan independent jobs across it, with
     results folded back deterministically on the calling domain) and an
-    optional persistent {!Cache} consulted before any recomputation.
+    optional persistent {!Cache} of summaries consulted before any
+    recomputation. There is no trace memo and no trace is ever
+    materialized: exact runs stream emulation into the timing core
+    ([Runner.simulate ~streaming:true]) and sampled runs warm trace-free
+    inside the emulator ({!Wish_sim.Runner.simulate_sampled} without a
+    trace), so trace memory does not grow with run length or with the
+    number of jobs.
 
     Fault tolerance: batched stages run under a supervision {!policy} —
     per-job crash isolation, bounded retry with exponential backoff and
@@ -32,14 +37,15 @@ type t
 val eval_input : string
 
 (** How the lab simulates: [Sample_auto] scales a sampling spec to each
-    trace's length ({!Wish_sim.Sampler.auto}); [Sample_spec] uses one
-    fixed spec everywhere. *)
+    run's dynamic length ({!Wish_sim.Sampler.auto}, sized by
+    {!Wish_emu.Trace.count}); [Sample_spec] uses one fixed spec
+    everywhere. *)
 type sampling = Sample_auto | Sample_spec of Wish_sim.Sampler.spec
 
 (** [create ?scale ?names ?jobs ?cache ?resume ?sample ?sample_parallel ()]
     — [names] restricts the benchmark set; [jobs > 1] spawns that many
     worker domains for {!run_batch}/{!prewarm} (default 1 = serial);
-    [cache] persists traces and summaries across processes; [resume]
+    [cache] persists summaries across processes; [resume]
     (default false, needs [cache]) loads the completion journal so jobs
     finished by an earlier interrupted run are reported as resumed.
     With [sample], every simulation runs sampled
@@ -70,7 +76,11 @@ val jobs : t -> int
     [Fun.protect ~finally:(fun () -> Lab.shutdown lab)]. *)
 val shutdown : t -> unit
 
-(** [set_logger t f] — progress callbacks for compilations/simulations. *)
+(** [set_logger t f] — progress callbacks for compilations/simulations.
+    A simulation is announced as
+    [simulating <bench>/<kind> input <I> cfg <8 hex digits>], the digits
+    being the head of the machine-configuration digest in its summary's
+    cache key. *)
 val set_logger : t -> (string -> unit) -> unit
 
 val benches : t -> Wish_workloads.Bench.t list
@@ -82,9 +92,6 @@ val binaries : t -> string -> Wish_compiler.Compiler.binaries
 
 val program :
   t -> bench:string -> kind:Wish_compiler.Policy.kind -> input:string -> Wish_isa.Program.t
-
-val trace :
-  t -> bench:string -> kind:Wish_compiler.Policy.kind -> input:string -> Wish_emu.Trace.t
 
 (** [run t ~bench ~kind ?input ?config ()] — memoized simulation. *)
 val run :
@@ -119,7 +126,7 @@ val default_policy : policy
 
 (** What a job that exhausted its retry budget looked like. *)
 type failure = {
-  failed_stage : string;  (** "compile" | "trace" | "simulate" *)
+  failed_stage : string;  (** "compile" | "simulate" *)
   failed_what : string;  (** e.g. "gzip/wish-jump-join input A" *)
   failed_attempts : int;
   failed_reason : string;  (** exception text, injected-fault site, or timeout *)
@@ -188,10 +195,10 @@ val summary_key_of_job : t -> job -> string
 
 (** [run_batch_results ?policy t jobs] — the supervised parallel twin of
     {!run}: resolves every job (memo table, then disk cache, then
-    compile/trace/simulate fanned over the worker pool, each stage under
+    compile/simulate fanned over the worker pool, each stage under
     [policy]) and returns per-job outcomes in [jobs] order. A failure in
     one stage poisons exactly the jobs that needed its product (a failed
-    compile fails that bench's jobs, a failed trace the jobs sharing it).
+    compile fails that bench's jobs).
     Under the default fail-fast policy a permanent failure raises
     {!Job_failed} instead of being returned. *)
 val run_batch_results :

@@ -62,7 +62,7 @@ type wire_job = {
 
 (* Runs in each forked worker. Labs are kept per (scale, sample, bench)
    — single-bench, so a worker builds only the benchmarks it is actually
-   handed — and compiled binaries and traces stay memoized across jobs;
+   handed — and compiled binaries stay memoized across jobs;
    every lab shares the daemon's cache directory, whose atomic
    temp+rename writes make concurrent worker processes safe. The summary
    itself travels back to the daemon through that cache — the result
@@ -163,8 +163,8 @@ type daemon = {
 
 (* Benchmarks are assigned worker slots round-robin on first sight —
    unlike hashing, distinct benchmarks never collide until every worker
-   already owns one, so the per-bench lab/trace memos stay both hot and
-   evenly spread. *)
+   already owns one, so the per-bench labs (and the binaries they have
+   compiled) stay both hot and evenly spread. *)
 let shard_of d bench =
   match Hashtbl.find_opt d.d_shards bench with
   | Some s -> s

@@ -78,11 +78,14 @@ let simulate_sampled ?(config = Config.default) ?pool ?(spec : Sampler.spec opti
   let r =
     match (trace, spec) with
     | None, Some spec when !Sampler.use_fused ->
-      (* No caller-supplied trace and an explicit spec: warm trace-free
-         through the fused path (report bit-identical to sampling a
-         streamed trace; [--warm-trace] flips back to the reference). An
-         auto spec ([spec = None]) needs the trace length up front, so it
-         stays on the materialized path below. *)
+      (* No caller-supplied trace: warm trace-free through the fused path
+         (report bit-identical to sampling a streamed trace; [--warm-trace]
+         flips back to the reference below). *)
+      Sampler.run_fused ?pool ~config ~spec program
+    | None, None when !Sampler.use_fused && not streaming ->
+      (* An auto spec is sized by a count-only emulator run instead of a
+         materialized trace's length. *)
+      let spec = Sampler.auto ~length:(Wish_emu.Trace.count program) in
       Sampler.run_fused ?pool ~config ~spec program
     | _ ->
       let trace =

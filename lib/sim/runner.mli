@@ -33,10 +33,11 @@ val simulate :
     together with the full sampling report. [spec] defaults to
     {!Sampler.auto} for a materialized trace and {!Sampler.default_spec}
     for a streaming one; [pool] fans detailed windows out in parallel.
-    With no caller-supplied [trace] and an explicit [spec], warming runs
-    trace-free through {!Sampler.run_fused} (bit-identical report;
-    {!Sampler.use_fused} — the [--warm-trace] driver lever — restores the
-    trace-based reference loop). The summary's [stats] bag carries the
+    With no caller-supplied [trace], warming runs trace-free through
+    {!Sampler.run_fused} (bit-identical report); an auto spec is then
+    sized by {!Wish_emu.Trace.count} instead of a materialized trace.
+    {!Sampler.use_fused} — the [--warm-trace] driver lever — restores
+    the trace-based reference loop. The summary's [stats] bag carries the
     measured window sums ([sample_windows], [sample_measured_entries],
     raw counter sums), not whole-run counts. *)
 val simulate_sampled :

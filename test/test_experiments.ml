@@ -179,6 +179,132 @@ let test_cache_version_invalidation () =
     "stale entry evicted" None
     (Cache.find v1 ~kind:"summary" ~key:"k")
 
+let test_cache_prune_retired () =
+  let dir = cache_dir ^ "_prune" in
+  let c = Cache.create ~dir () in
+  Cache.clear c;
+  Cache.store c ~kind:"summary" ~key:"s" 1;
+  Cache.store c ~kind:"trace" ~key:"t" [| 2 |];
+  let r = Cache.prune c in
+  check Alcotest.int "summary kept" 1 r.kept;
+  check Alcotest.int "trace entry evicted as retired" 1 r.evicted_retired;
+  check Alcotest.int "nothing stale" 0 r.evicted_stale;
+  check Alcotest.(list string) "only the summary is left" [ "summary" ]
+    (List.map (fun (rel, _) -> Filename.dirname rel) (Cache.scan c));
+  Alcotest.(check bool) "retired kind directory removed" false
+    (Sys.file_exists (Filename.concat dir "trace"))
+
+(* ------------------------------------------------------------------ *)
+(* Trace-free lab                                                      *)
+(* ------------------------------------------------------------------ *)
+
+module Trace = Wish_emu.Trace
+module Runner = Wish_sim.Runner
+module Sampler = Wish_sim.Sampler
+
+let rec rm_rf d =
+  if Sys.file_exists d then
+    if Sys.is_directory d then begin
+      Array.iter (fun f -> rm_rf (Filename.concat d f)) (Sys.readdir d);
+      Sys.rmdir d
+    end
+    else Sys.remove d
+
+let files_under d = if Sys.file_exists d then Array.length (Sys.readdir d) else 0
+
+let test_lab_writes_no_traces () =
+  let dir = cache_dir ^ "_notrace" in
+  rm_rf dir;
+  let lab = Lab.create ~scale:1 ~names:[ "gzip" ] ~jobs:2 ~cache:(Cache.create ~dir ()) () in
+  Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
+  Lab.prewarm lab (Figures.jobs_for "fig10" lab);
+  check Alcotest.int "no trace-kind entries" 0 (files_under (Filename.concat dir "trace"));
+  Alcotest.(check bool) "summaries were stored" true
+    (files_under (Filename.concat dir "summary") > 0)
+
+let test_lab_exact_matches_materialized () =
+  (* Exact Lab jobs stream emulation into the core; the summary must be
+     the one a materialized trace yields. *)
+  let lab = Lab.create ~scale:1 ~names:[ "gzip" ] ~jobs:2 () in
+  Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
+  let jobs = Lab.with_baselines (Figures.jobs_for "fig10" lab) in
+  List.iter2
+    (fun (j : Lab.job) s ->
+      let p = Lab.program lab ~bench:j.job_bench ~kind:j.job_kind ~input:j.job_input in
+      let reference = Runner.simulate ~config:j.job_config ~trace:(fst (Trace.generate p)) p in
+      check Alcotest.string
+        (Printf.sprintf "%s/%s" j.job_bench (Policy.kind_name j.job_kind))
+        (summary_repr reference) (summary_repr s))
+    jobs (Lab.run_batch lab jobs)
+
+let test_lab_sampled_matches_materialized () =
+  (* Sampled Lab jobs never see a trace: Sample_auto sizes its spec with
+     a count-only run and both modes warm fused. The reference samples a
+     materialized trace with the spec that trace implies. *)
+  let fixed = Sampler.spec ~warm:40_000 ~detail:2_000 in
+  List.iter
+    (fun scale ->
+      let names = [ "gzip"; "mcf" ] in
+      let auto = Lab.create ~scale ~names ~sample:Lab.Sample_auto () in
+      let spec = Lab.create ~scale ~names ~sample:(Lab.Sample_spec fixed) () in
+      let jobs =
+        List.concat_map
+          (fun bench ->
+            List.concat_map
+              (fun input ->
+                List.map (fun kind -> Lab.job ~bench ~kind ~input ()) [ Policy.Normal; Policy.Wish_jjl ])
+              [ "A"; "C" ])
+          names
+      in
+      let rows = List.combine jobs (List.combine (Lab.run_batch auto jobs) (Lab.run_batch spec jobs)) in
+      List.iter
+        (fun ((j : Lab.job), (s_auto, s_spec)) ->
+          let p = Lab.program auto ~bench:j.job_bench ~kind:j.job_kind ~input:j.job_input in
+          let trace = fst (Trace.generate p) in
+          let reference spec =
+            summary_repr (fst (Runner.simulate_sampled ~config:j.job_config ~spec ~trace p))
+          in
+          let what mode =
+            Printf.sprintf "scale %d %s/%s input %s, %s" scale j.job_bench
+              (Policy.kind_name j.job_kind) j.job_input mode
+          in
+          check Alcotest.string (what "auto")
+            (reference (Sampler.auto ~length:(Trace.length trace)))
+            (summary_repr s_auto);
+          check Alcotest.string (what "fixed spec") (reference fixed) (summary_repr s_spec))
+        rows)
+    [ 1; 10 ]
+
+let test_trace_count_matches_generate () =
+  let lab = Lab.create ~scale:1 () in
+  let outcome f = match f () with n -> Ok n | exception Trace.Out_of_fuel n -> Error n in
+  Fun.protect ~finally:(fun () -> Trace.use_interpreter := false) @@ fun () ->
+  List.iter
+    (fun bench ->
+      List.iter
+        (fun kind ->
+          let p = Lab.program lab ~bench ~kind ~input:Lab.eval_input in
+          let what = Printf.sprintf "%s/%s" bench (Policy.kind_name kind) in
+          let n = Trace.length (fst (Trace.generate p)) in
+          List.iter
+            (fun interp ->
+              Trace.use_interpreter := interp;
+              let what = what ^ if interp then " (interpreter)" else "" in
+              check Alcotest.int (what ^ " count") n (Trace.count p);
+              (* Fuel parity: the same verdict as generate at, just under,
+                 and far below the dynamic length. *)
+              List.iter
+                (fun fuel ->
+                  check
+                    Alcotest.(result int int)
+                    (Printf.sprintf "%s fuel %d" what fuel)
+                    (outcome (fun () -> Trace.length (fst (Trace.generate ~fuel p))))
+                    (outcome (fun () -> Trace.count ~fuel p)))
+                [ n; n - 1; 1_000 ])
+            [ false; true ])
+        Wish_compiler.Compiler.all_kinds)
+    (Lab.bench_names lab)
+
 let () =
   Alcotest.run "wish_experiments"
     [
@@ -193,6 +319,7 @@ let () =
         [
           Alcotest.test_case "round-trip fidelity" `Slow test_cache_roundtrip;
           Alcotest.test_case "version invalidation" `Quick test_cache_version_invalidation;
+          Alcotest.test_case "prune evicts retired kinds" `Quick test_cache_prune_retired;
         ] );
       ( "direction",
         [
@@ -205,5 +332,12 @@ let () =
         [
           Alcotest.test_case "structure" `Slow test_figure_structure;
           Alcotest.test_case "artifact list" `Quick test_all_artifacts_listed;
+        ] );
+      ( "trace-free lab",
+        [
+          Alcotest.test_case "no trace cache entries" `Slow test_lab_writes_no_traces;
+          Alcotest.test_case "exact = materialized" `Slow test_lab_exact_matches_materialized;
+          Alcotest.test_case "sampled = materialized" `Slow test_lab_sampled_matches_materialized;
+          Alcotest.test_case "count = generate length" `Slow test_trace_count_matches_generate;
         ] );
     ]
