@@ -12,6 +12,7 @@ type binaries = {
   base_max : Program.t;
   wish_jj : Program.t;
   wish_jjl : Program.t;
+  profile : Policy.profile;
 }
 
 let binary binaries (kind : Policy.kind) =
@@ -73,4 +74,5 @@ let compile_all ?mem_words ?fuel ~name ~profile_data ast =
     base_max = c Policy.Base_max;
     wish_jj = c Policy.Wish_jj;
     wish_jjl = c Policy.Wish_jjl;
+    profile;
   }

@@ -10,6 +10,10 @@ type binaries = {
   base_max : Wish_isa.Program.t;
   wish_jj : Wish_isa.Program.t;
   wish_jjl : Wish_isa.Program.t;
+  profile : Policy.profile;
+      (** the training-input profile the four profiled kinds were compiled
+          with; recompiling a variant policy from it skips the profiling
+          run *)
 }
 
 val binary : binaries -> Policy.kind -> Wish_isa.Program.t

@@ -16,8 +16,12 @@
       the tables are only ever mutated single-threaded and the outputs are
       bit-identical to the serial path;
     - an optional persistent {!Cache}: summaries are looked up by
-      (bench, kind, input, scale, config) before being recomputed and
+      (bench, binary, input, scale, config) before being recomputed and
       stored after, making repeated runs incremental across processes;
+    - compile variants: a job may name its kind recompiled with another
+      wish-jump threshold ([job_wish_n]); the variant is compiled from
+      the bench's training profile inside its simulate task, so it gets
+      the same memo, cache, pool and supervision as a standard binary;
     - trace-free simulation: no trace is ever materialized. Exact runs
       stream emulation into the timing core (bounded trace residency);
       sampled runs warm fused into the emulator, an auto spec sized by a
@@ -178,15 +182,53 @@ let bench t name =
   | None -> invalid_arg ("Lab: unknown bench " ^ name)
 
 (* --------------------------------------------------------------- *)
-(* Cache keys                                                       *)
+(* Jobs and their keys                                              *)
 (* --------------------------------------------------------------- *)
 
-(* Sampled results live under distinct keys (suffix [|sampleW:D] or
-   [|sampleauto]); exact summaries keep their historical keys, so a
-   cache survives turning sampling on and off. *)
-let summary_cache_key t ~bench ~kind ~input ~config =
+type job = {
+  job_bench : string;
+  job_kind : Policy.kind;
+  job_input : string;
+  job_config : Wish_sim.Config.t;
+  job_wish_n : int option;
+}
+
+let job ~bench ~kind ?(input = eval_input) ?(config = Wish_sim.Config.default) ?wish_n () =
+  { job_bench = bench; job_kind = kind; job_input = input; job_config = config; job_wish_n = wish_n }
+
+(** The baseline run {!normalized} divides by: the standard normal binary
+    on the same input and machine, with the oracle idealization knobs
+    stripped. *)
+let baseline_of j =
+  {
+    j with
+    job_kind = Policy.Normal;
+    job_config = { j.job_config with Wish_sim.Config.knobs = Wish_sim.Config.no_knobs };
+    job_wish_n = None;
+  }
+
+let with_baselines js = List.concat_map (fun j -> [ j; baseline_of j ]) js
+
+(* The binary a job names: the kind's name, plus [.n<N>] for a compile
+   variant. No standard kind name contains a dot, so a variant never
+   aliases a standard binary (not even [.n5], the default threshold). *)
+let binary_name j =
+  let k = Policy.kind_name j.job_kind in
+  match j.job_wish_n with None -> k | Some n -> Printf.sprintf "%s.n%d" k n
+
+let memo_key j = (j.job_bench, binary_name j, j.job_input, j.job_config)
+
+let describe_job j = Printf.sprintf "%s/%s input %s" j.job_bench (binary_name j) j.job_input
+
+(* The persistent-cache identity of a job's summary — also the key the
+   service daemon's single-flight table coalesces identical in-flight
+   jobs on. Standard binaries keep their historical keys; sampled
+   results live under distinct keys (suffix [|sampleW:D] or
+   [|sampleauto]), so a cache survives turning sampling on and off. *)
+let summary_key_of_job t j =
   let base =
-    Printf.sprintf "%s|%s|%s|scale%d|cfg%s" bench kind input t.scale (Cache.digest_of config)
+    Printf.sprintf "%s|%s|%s|scale%d|cfg%s" j.job_bench (binary_name j) j.job_input t.scale
+      (Cache.digest_of j.job_config)
   in
   match t.sample with None -> base | Some s -> base ^ "|sample" ^ sampling_key s
 
@@ -205,10 +247,10 @@ let simulate_with t ?pool ~config p =
 
 (* Progress line naming the run's machine by the summary key's config
    digest, so runs differing only in configuration stay distinguishable. *)
-let log_simulating t ~bench ~kind_n ~input ~config =
+let log_simulating t j =
   t.log
-    (Printf.sprintf "simulating %s/%s input %s cfg %s" bench kind_n input
-       (String.sub (Cache.digest_of config) 0 8))
+    (Printf.sprintf "simulating %s cfg %s" (describe_job j)
+       (String.sub (Cache.digest_of j.job_config) 0 8))
 
 let cached_summary t key =
   match t.cache with None -> None | Some c -> Cache.find c ~kind:"summary" ~key
@@ -240,59 +282,52 @@ let binaries t name =
     Hashtbl.add t.binaries name bins;
     bins
 
-let program t ~bench:name ~kind ~input =
-  let b = bench t name in
-  Wish_workloads.Bench.program_for b (Compiler.binary (binaries t name) kind) input
+(* [job_program t j] — a thunk for the program [j] simulates. A standard
+   binary is bound to its input now, on the calling domain. A compile
+   variant is recompiled by the thunk, from the training profile
+   [compile_all] already took, so a batched variant compiles on its
+   worker domain inside the supervised simulate task. *)
+let job_program t j =
+  let b = bench t j.job_bench and bins = binaries t j.job_bench in
+  match j.job_wish_n with
+  | None ->
+    let p = Wish_workloads.Bench.program_for b (Compiler.binary bins j.job_kind) j.job_input in
+    fun () -> p
+  | Some n ->
+    fun () ->
+      let policy = Policy.create ~profile:bins.profile ~wish_threshold_n:n j.job_kind in
+      let p, _ = Codegen.compile ~mem_words:b.mem_words ~policy ~name:(b.name ^ ".n") b.ast in
+      Wish_workloads.Bench.program_for b p j.job_input
 
-(** [run t ~bench ~kind ?input ?config ()] — memoized simulation. *)
-let run t ~bench:name ~kind ?(input = eval_input) ?(config = Wish_sim.Config.default) () =
-  let kind_n = Policy.kind_name kind in
-  let key = (name, kind_n, input, config) in
-  match Hashtbl.find_opt t.results key with
+let program t ~bench ~kind ~input = job_program t (job ~bench ~kind ~input ()) ()
+
+(** [run t ~bench ~kind ?input ?config ?wish_n ()] — memoized simulation. *)
+let run t ~bench ~kind ?input ?config ?wish_n () =
+  let j = job ~bench ~kind ?input ?config ?wish_n () in
+  match Hashtbl.find_opt t.results (memo_key j) with
   | Some s -> s
   | None ->
-    let ckey = summary_cache_key t ~bench:name ~kind:kind_n ~input ~config in
+    let ckey = summary_key_of_job t j in
     let s =
       match cached_summary t ckey with
       | Some s ->
         t.stats.cache_hits <- t.stats.cache_hits + 1;
-        t.log (Printf.sprintf "cache hit: summary %s/%s input %s" name kind_n input);
+        t.log ("cache hit: summary " ^ describe_job j);
         s
       | None ->
-        let p = program t ~bench:name ~kind ~input in
-        log_simulating t ~bench:name ~kind_n ~input ~config;
+        let p = job_program t j () in
+        log_simulating t j;
         let pool = if t.sample_parallel then t.pool else None in
-        let s = simulate_with t ?pool ~config p in
+        let s = simulate_with t ?pool ~config:j.job_config p in
         store_summary t ckey s;
         s
     in
-    Hashtbl.add t.results key s;
+    Hashtbl.add t.results (memo_key j) s;
     s
 
 (* --------------------------------------------------------------- *)
 (* Batched (parallel, supervised) execution                         *)
 (* --------------------------------------------------------------- *)
-
-type job = {
-  job_bench : string;
-  job_kind : Policy.kind;
-  job_input : string;
-  job_config : Wish_sim.Config.t;
-}
-
-let job ~bench ~kind ?(input = eval_input) ?(config = Wish_sim.Config.default) () =
-  { job_bench = bench; job_kind = kind; job_input = input; job_config = config }
-
-(** The baseline run {!normalized} divides by: the normal binary on the
-    same input and machine, with the oracle idealization knobs stripped. *)
-let baseline_of j =
-  {
-    j with
-    job_kind = Policy.Normal;
-    job_config = { j.job_config with Wish_sim.Config.knobs = Wish_sim.Config.no_knobs };
-  }
-
-let with_baselines js = List.concat_map (fun j -> [ j; baseline_of j ]) js
 
 let pmap t f xs = match t.pool with Some p -> Pool.map p f xs | None -> List.map f xs
 
@@ -308,15 +343,6 @@ let uniq key xs =
         true
       end)
     xs
-
-let memo_key j = (j.job_bench, Policy.kind_name j.job_kind, j.job_input, j.job_config)
-
-(* The persistent-cache identity of a job's summary — also the key the
-   service daemon's single-flight table coalesces identical in-flight
-   jobs on, so it must stay in lockstep with [summary_cache_key]. *)
-let summary_key_of_job t j =
-  summary_cache_key t ~bench:j.job_bench ~kind:(Policy.kind_name j.job_kind) ~input:j.job_input
-    ~config:j.job_config
 
 (* Fan [f] over [xs] on the pool under [policy]: each item is attempted
    up to [1 + retries] times, failed rounds separated by exponential
@@ -400,9 +426,6 @@ let supervised_map t ~policy ~stage ~describe f xs =
         | None -> assert false)
   end
 
-let describe_job j =
-  Printf.sprintf "%s/%s input %s" j.job_bench (Policy.kind_name j.job_kind) j.job_input
-
 (** [run_batch_results t jobs] — the supervised parallel twin of {!run}:
     resolves every job (memo table, then disk cache, then
     compile/simulate fanned over the worker pool, each stage under
@@ -440,32 +463,24 @@ let run_batch_results ?(policy = default_policy) t jobs =
       (fun j ->
         if Hashtbl.mem failed_benches j.job_bench then false
         else begin
-          let kind_n = Policy.kind_name j.job_kind in
-          let ckey =
-            summary_cache_key t ~bench:j.job_bench ~kind:kind_n ~input:j.job_input
-              ~config:j.job_config
-          in
+          let ckey = summary_key_of_job t j in
           match cached_summary t ckey with
           | Some s ->
             t.stats.cache_hits <- t.stats.cache_hits + 1;
             if Hashtbl.mem t.journal ckey then begin
               t.stats.resumed <- t.stats.resumed + 1;
-              t.log
-                (Printf.sprintf "resume: skipping %s/%s input %s (journaled)" j.job_bench
-                   kind_n j.job_input)
+              t.log (Printf.sprintf "resume: skipping %s (journaled)" (describe_job j))
             end
-            else
-              t.log
-                (Printf.sprintf "cache hit: summary %s/%s input %s" j.job_bench kind_n
-                   j.job_input);
+            else t.log ("cache hit: summary " ^ describe_job j);
             Hashtbl.add t.results (memo_key j) s;
             false
           | None -> true
         end)
       todo
   in
-  (* Stage 3: simulate, trace-free. [lab.trace] is cut first, before the
-     emulator starts, so fault schedules that arm it stay valid. *)
+  (* Stage 3: simulate, trace-free; a compile variant is compiled first,
+     inside its task. [lab.trace] is cut first, before the emulator
+     starts, so fault schedules that arm it stay valid. *)
   let failed_runs : (string * string * string * Wish_sim.Config.t, failure) Hashtbl.t =
     Hashtbl.create 4
   in
@@ -473,9 +488,8 @@ let run_batch_results ?(policy = default_policy) t jobs =
     let tasks =
       List.map
         (fun j ->
-          log_simulating t ~bench:j.job_bench ~kind_n:(Policy.kind_name j.job_kind)
-            ~input:j.job_input ~config:j.job_config;
-          (j, program t ~bench:j.job_bench ~kind:j.job_kind ~input:j.job_input))
+          log_simulating t j;
+          (j, job_program t j))
         todo
     in
     List.iter2
@@ -486,11 +500,11 @@ let run_batch_results ?(policy = default_policy) t jobs =
         | Error fl -> Hashtbl.replace failed_runs (memo_key j) fl)
       tasks
       (supervised_map t ~policy ~stage:"simulate" ~describe:(fun (j, _) -> describe_job j)
-         (fun (j, p) ->
+         (fun (j, program) ->
            Faultpoint.cut fp_trace;
            Faultpoint.cut fp_simulate;
            if Faultpoint.fires fp_slow then Unix.sleepf (Faultpoint.delay_of fp_slow);
-           simulate_with t ~config:j.job_config p)
+           simulate_with t ~config:j.job_config (program ()))
          tasks)
   end;
   (* Assemble per-job outcomes, [jobs] order. *)

@@ -10,6 +10,10 @@
       under the same machine configuration (oracle knobs stripped from
       the baseline).
 
+    Besides the five standard binaries, a job may name a compile
+    variant, its kind recompiled with another wish-jump threshold
+    (Ablation A4; see {!type-job}).
+
     Performance machinery: an optional {!Wish_util.Pool} of worker
     domains ({!run_batch}/{!prewarm} fan independent jobs across it, with
     results folded back deterministically on the calling domain) and an
@@ -78,9 +82,9 @@ val shutdown : t -> unit
 
 (** [set_logger t f] — progress callbacks for compilations/simulations.
     A simulation is announced as
-    [simulating <bench>/<kind> input <I> cfg <8 hex digits>], the digits
-    being the head of the machine-configuration digest in its summary's
-    cache key. *)
+    [simulating <bench>/<binary> input <I> cfg <8 hex digits>] (the
+    binary as in {!describe_job}), the digits being the head of the
+    machine-configuration digest in its summary's cache key. *)
 val set_logger : t -> (string -> unit) -> unit
 
 val benches : t -> Wish_workloads.Bench.t list
@@ -93,13 +97,16 @@ val binaries : t -> string -> Wish_compiler.Compiler.binaries
 val program :
   t -> bench:string -> kind:Wish_compiler.Policy.kind -> input:string -> Wish_isa.Program.t
 
-(** [run t ~bench ~kind ?input ?config ()] — memoized simulation. *)
+(** [run t ~bench ~kind ?input ?config ?wish_n ()] — memoized simulation
+    of the job {!job} builds from the same arguments; [wish_n] selects a
+    compile variant (see {!type-job}). *)
 val run :
   t ->
   bench:string ->
   kind:Wish_compiler.Policy.kind ->
   ?input:string ->
   ?config:Wish_sim.Config.t ->
+  ?wish_n:int ->
   unit ->
   Wish_sim.Runner.summary
 
@@ -162,36 +169,53 @@ val stop_requested : t -> bool
 
 (** {1 Batched execution} *)
 
-(** One unit of simulation work for {!run_batch}. *)
+(** One unit of simulation work for {!run_batch}. [job_wish_n] picks
+    the binary: [None] is the bench's standard [job_kind] binary from
+    {!binaries}; [Some n] is [job_kind] recompiled with wish-jump
+    threshold [n] ({!Wish_compiler.Policy.create} [~wish_threshold_n]),
+    from the same training profile. A variant is compiled inside its
+    simulate task, so it is memoized, cached, journaled, pooled and
+    supervised like any other job. *)
 type job = {
   job_bench : string;
   job_kind : Wish_compiler.Policy.kind;
   job_input : string;
   job_config : Wish_sim.Config.t;
+  job_wish_n : int option;
 }
 
-(** [job ~bench ~kind ?input ?config ()] — [input] defaults to
-    {!eval_input}, [config] to {!Wish_sim.Config.default}. *)
+(** [job ~bench ~kind ?input ?config ?wish_n ()] — [input] defaults to
+    {!eval_input}, [config] to {!Wish_sim.Config.default}, [wish_n] to
+    the standard binary. *)
 val job :
   bench:string ->
   kind:Wish_compiler.Policy.kind ->
   ?input:string ->
   ?config:Wish_sim.Config.t ->
+  ?wish_n:int ->
   unit ->
   job
 
-(** The run {!normalized} divides [j] by: the normal binary, same input,
-    same machine, oracle knobs stripped. *)
+(** The run {!normalized} divides [j] by: the standard normal binary,
+    same input, same machine, oracle knobs stripped. *)
 val baseline_of : job -> job
 
 (** [with_baselines js] — each job followed by its {!baseline_of}. *)
 val with_baselines : job list -> job list
 
 (** [summary_key_of_job t j] — the persistent-cache key {!run} stores
-    [j]'s summary under (bench, kind, input, scale, config digest, and
-    the sampling suffix when the lab samples). This is the identity the
-    service daemon deduplicates identical in-flight jobs on. *)
+    [j]'s summary under (bench, binary, input, scale, config digest, and
+    the sampling suffix when the lab samples). The binary field is the
+    kind's name, e.g. [gzip|wish-jump-join|A|scale1|cfg…], so standard
+    jobs keep their historical keys; a compile variant appends [.n<N>]
+    to it ([gzip|wish-jump-join.n5|A|…]), which no standard kind name
+    can produce. This is the identity the service daemon deduplicates
+    identical in-flight jobs on. *)
 val summary_key_of_job : t -> job -> string
+
+(** [describe_job j] — [<bench>/<binary> input <I>], the binary named as
+    in {!summary_key_of_job} (e.g. [gzip/wish-jump-join.n5 input A]). *)
+val describe_job : job -> string
 
 (** [run_batch_results ?policy t jobs] — the supervised parallel twin of
     {!run}: resolves every job (memo table, then disk cache, then

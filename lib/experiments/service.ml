@@ -40,11 +40,6 @@ let sampling_of_string = function
     | Ok sp -> Ok (Some (Lab.Sample_spec sp))
     | Error e -> Error (Printf.sprintf "bad sample spec %S: %s" s e))
 
-let describe_job j =
-  Printf.sprintf "%s/%s input %s" j.Lab.job_bench
-    (Wish_compiler.Policy.kind_name j.Lab.job_kind)
-    j.Lab.job_input
-
 (* ---------- worker side ---------- *)
 
 (* What the daemon marshals down a worker pipe: everything a serial lab
@@ -58,6 +53,7 @@ type wire_job = {
   wj_kind : Wish_compiler.Policy.kind;
   wj_input : string;
   wj_config : Wish_sim.Config.t;
+  wj_wish_n : int option;  (* Lab.job_wish_n: the compile variant, if any *)
 }
 
 (* Runs in each forked worker. Labs are kept per (scale, sample, bench)
@@ -96,7 +92,7 @@ let make_worker_handler ~cache_dir () =
         in
         ignore
           (Lab.run lab ~bench:wj.wj_bench ~kind:wj.wj_kind ~input:wj.wj_input
-             ~config:wj.wj_config ());
+             ~config:wj.wj_config ?wish_n:wj.wj_wish_n ());
         Ok ()
       with e -> Error (Printexc.to_string e)
     in
@@ -533,7 +529,7 @@ let handle_run d conn msg =
                 (fun job ->
                   if not req.r_closed then begin
                     let key = Lab.summary_key_of_job lab job in
-                    let what = describe_job job in
+                    let what = Lab.describe_job job in
                     d.d_jobs_requested <- d.d_jobs_requested + 1;
                     if Hashtbl.mem d.d_done key || cache_has d key then begin
                       d.d_cache_hits <- d.d_cache_hits + 1;
@@ -554,6 +550,7 @@ let handle_run d conn msg =
                             wj_kind = job.Lab.job_kind;
                             wj_input = job.Lab.job_input;
                             wj_config = job.Lab.job_config;
+                            wj_wish_n = job.Lab.job_wish_n;
                           }
                         in
                         let jr =

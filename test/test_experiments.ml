@@ -305,6 +305,127 @@ let test_trace_count_matches_generate () =
         Wish_compiler.Compiler.all_kinds)
     (Lab.bench_names lab)
 
+(* ------------------------------------------------------------------ *)
+(* Compile variants (Ablation A4 through the lab)                      *)
+(* ------------------------------------------------------------------ *)
+
+module Ablations = Wish_experiments.Ablations
+module Compiler = Wish_compiler.Compiler
+module Codegen = Wish_compiler.Codegen
+module Bench = Wish_workloads.Bench
+
+let a4_names = [ "gzip"; "twolf"; "gap" ]
+let a4_thresholds = [ 0; 5; 100 ]
+
+(* The training profile as A4 used to recompute it: the normal binary
+   run over the bench's profiling input. *)
+let direct_profile (b : Bench.t) =
+  let normal, bmap = Compiler.compile_kind ~mem_words:b.mem_words ~name:b.name b.ast Policy.Normal in
+  Compiler.profile_of_run (Wish_isa.Program.with_data normal (Bench.profile_data b)) bmap
+
+let profile_repr (p : Policy.profile) =
+  List.sort compare
+    (Hashtbl.fold (fun id (c : Policy.branch_profile) acc -> (id, c.executed, c.cond_true) :: acc) p [])
+
+let test_compile_all_profile () =
+  List.iter
+    (fun name ->
+      let b = Wish_workloads.Workloads.find ~scale:1 name in
+      let bins = Compiler.compile_all ~mem_words:b.mem_words ~name ~profile_data:(Bench.profile_data b) b.ast in
+      Alcotest.(check (list (triple int int int)))
+        (name ^ " profile") (profile_repr (direct_profile b)) (profile_repr bins.profile))
+    a4_names
+
+let test_variant_matches_direct () =
+  (* Batched (pooled) and serial variant summaries must both equal the
+     direct path: profile, recompile with the threshold, simulate a
+     materialized trace. *)
+  let par = Lab.create ~scale:1 ~names:a4_names ~jobs:2 () in
+  let ser = Lab.create ~scale:1 ~names:a4_names () in
+  Fun.protect ~finally:(fun () -> Lab.shutdown par) @@ fun () ->
+  let jobs =
+    List.concat_map
+      (fun bench -> List.map (fun n -> Lab.job ~bench ~kind:Policy.Wish_jj ~wish_n:n ()) a4_thresholds)
+      a4_names
+  in
+  List.iter2
+    (fun (j : Lab.job) batched ->
+      let b = Lab.bench par j.job_bench in
+      let n = Option.get j.job_wish_n in
+      let policy = Policy.create ~profile:(direct_profile b) ~wish_threshold_n:n Policy.Wish_jj in
+      let p, _ = Codegen.compile ~mem_words:b.mem_words ~policy ~name:(b.name ^ ".n") b.ast in
+      let p = Bench.program_for b p Lab.eval_input in
+      let reference = summary_repr (Runner.simulate ~trace:(fst (Trace.generate p)) p) in
+      let what = Lab.describe_job j in
+      check Alcotest.string (what ^ " batched") reference (summary_repr batched);
+      check Alcotest.string (what ^ " serial") reference
+        (summary_repr (Lab.run ser ~bench:j.job_bench ~kind:Policy.Wish_jj ~wish_n:n ())))
+    jobs (Lab.run_batch par jobs)
+
+let test_variant_keys () =
+  let lab = Lab.create ~scale:1 ~names:[ "gzip" ] () in
+  let key ?wish_n () = Lab.summary_key_of_job lab (Lab.job ~bench:"gzip" ~kind:Policy.Wish_jj ?wish_n ()) in
+  check Alcotest.string "standard key is the historic one"
+    ("gzip|wish-jump-join|A|scale1|cfg" ^ Cache.digest_of Config.default)
+    (key ());
+  Alcotest.(check bool) "N=5 variant does not alias standard wish-jj" true (key ~wish_n:5 () <> key ());
+  Alcotest.(check bool) "variants are distinct" true (key ~wish_n:0 () <> key ~wish_n:5 ());
+  check Alcotest.string "variant names its binary" "gzip/wish-jump-join.n5 input A"
+    (Lab.describe_job (Lab.job ~bench:"gzip" ~kind:Policy.Wish_jj ~wish_n:5 ()));
+  let base = Lab.baseline_of (Lab.job ~bench:"gzip" ~kind:Policy.Wish_jj ~wish_n:5 ()) in
+  Alcotest.(check bool) "baseline is the standard normal binary" true
+    (base.job_wish_n = None && base.job_kind = Policy.Normal);
+  let sampled = Lab.create ~scale:1 ~names:[ "gzip" ] ~sample:Lab.Sample_auto () in
+  check Alcotest.string "sampled standard key keeps its historic suffix"
+    ("gzip|wish-jump-join|A|scale1|cfg" ^ Cache.digest_of Config.default ^ "|sampleauto")
+    (Lab.summary_key_of_job sampled (Lab.job ~bench:"gzip" ~kind:Policy.Wish_jj ()))
+
+let prefixed p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p
+
+let test_a4_table_cached_and_pooled () =
+  let dir = cache_dir ^ "_a4" in
+  rm_rf dir;
+  let render ?cache ?(jobs = 1) () =
+    let lab = Lab.create ~scale:1 ~names:a4_names ~jobs ?cache () in
+    Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
+    let log = ref [] in
+    Lab.set_logger lab (fun s -> log := s :: !log);
+    let table = Wish_util.Table.render (Ablations.wish_threshold_n lab) in
+    (table, List.rev !log, Lab.batch_stats lab)
+  in
+  let cold, _, _ = render ~cache:(Cache.create ~dir ()) () in
+  let warm, log, st = render ~cache:(Cache.create ~dir ()) () in
+  let pooled, _, _ = render ~jobs:2 () in
+  check Alcotest.string "warm = cold" cold warm;
+  check Alcotest.string "pooled, uncached = cold" cold pooled;
+  Alcotest.(check (list string)) "warm lab simulates nothing" []
+    (List.filter (prefixed "simulating") log);
+  check Alcotest.int "every variant and baseline is a cache hit" 12 st.cache_hits;
+  (* Stage-1 compiles stay eager: the warm lab still builds its three
+     benches' standard binaries, and runs no simulate task. *)
+  check Alcotest.int "only the three compile tasks ran" 3 st.executed;
+  check Alcotest.int "one compile line per bench" 3
+    (List.length (List.filter (prefixed "compiling") log))
+
+let test_a4_under_faults () =
+  (* The variants run under the same supervision as every job: a
+     simulate fault armed while A4 renders is retried, and the table
+     does not change. *)
+  let render faults =
+    let lab = Lab.create ~scale:1 ~names:a4_names ~jobs:2 () in
+    Fun.protect ~finally:(fun () -> Lab.shutdown lab; Wish_util.Faultpoint.reset ()) @@ fun () ->
+    Lab.prewarm lab (Ablations.jobs_for "abl-wish-n" lab);
+    Wish_util.Faultpoint.arm "lab.simulate" ~times:faults;
+    let table = Wish_util.Table.render (Ablations.wish_threshold_n lab) in
+    (table, Wish_util.Faultpoint.injected "lab.simulate", Lab.batch_stats lab)
+  in
+  let clean, _, _ = render 0 in
+  let chaotic, injected, st = render 3 in
+  check Alcotest.string "A4 byte-identical under injected simulate faults" clean chaotic;
+  check Alcotest.int "all three faults fired" 3 injected;
+  check Alcotest.int "each faulted variant was retried" 3 st.retried;
+  check Alcotest.int "nothing failed" 0 st.failed
+
 let () =
   Alcotest.run "wish_experiments"
     [
@@ -339,5 +460,13 @@ let () =
           Alcotest.test_case "exact = materialized" `Slow test_lab_exact_matches_materialized;
           Alcotest.test_case "sampled = materialized" `Slow test_lab_sampled_matches_materialized;
           Alcotest.test_case "count = generate length" `Slow test_trace_count_matches_generate;
+        ] );
+      ( "compile variants",
+        [
+          Alcotest.test_case "compile_all keeps its profile" `Quick test_compile_all_profile;
+          Alcotest.test_case "variant = direct recompile" `Slow test_variant_matches_direct;
+          Alcotest.test_case "keys" `Quick test_variant_keys;
+          Alcotest.test_case "A4 cached and pooled" `Slow test_a4_table_cached_and_pooled;
+          Alcotest.test_case "A4 under faults" `Slow test_a4_under_faults;
         ] );
     ]
