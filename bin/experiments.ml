@@ -6,9 +6,9 @@
       experiments --scale 2 -v       # bigger runs, with progress logging
       experiments --timeout 120 --retries 3 --keep-going
       experiments --resume           # skip jobs journaled by an interrupted run
-      experiments --connect /tmp/wishd.sock fig10   # run through a wishd daemon
       experiments cache verify       # integrity-check _wishcache/
-      experiments cache prune        # evict stale and retired-kind entries, quarantine corrupt ones
+      experiments cache prune        # evict stale and retired-kind entries, quarantine corrupt
+                                     # ones, sweep orphan temp and lease files
       experiments cache stats        # occupancy: entries, bytes, versions, quarantine *)
 
 open Cmdliner
@@ -16,67 +16,9 @@ module Lab = Wish_experiments.Lab
 module Figures = Wish_experiments.Figures
 module Ablations = Wish_experiments.Ablations
 module Cache = Wish_experiments.Cache
-module Service = Wish_experiments.Service
-
-(* Run the selection through a wishd daemon, printing tables exactly as
-   the local path would (the daemon's text is byte-identical). Returns
-   the artifacts the daemon did not deliver — connection refused, torn
-   stream, or a failed job — for the caller to re-run locally, in order.
-   The daemon streams tables in request order, so whatever it delivered
-   is a prefix of the selection and the combined output still matches an
-   all-local run. *)
-let remote_run ~socket ~selected ~scale ~benchmarks ~sample ~csv_dir ~verbose =
-  let spec =
-    {
-      Service.sp_artifacts = List.map fst selected;
-      sp_scale = scale;
-      sp_benchmarks = benchmarks;
-      sp_sample = sample;
-    }
-  in
-  match Service.connect ~socket with
-  | Error e ->
-    Fmt.epr "[svc] %s: %s; running locally@." socket e;
-    selected
-  | Ok client ->
-    let printed = Hashtbl.create 8 in
-    let on_row row =
-      if verbose then
-        Fmt.epr "[svc] %s %d/%d %s (%s)@." row.Service.row_artifact
-          row.Service.row_done row.Service.row_total row.Service.row_what
-          row.Service.row_via
-    in
-    let on_table ~artifact ~text ~csv =
-      Hashtbl.replace printed artifact ();
-      print_string text;
-      print_newline ();
-      match csv_dir with
-      | None -> ()
-      | Some dir ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-        let path = Filename.concat dir (artifact ^ ".csv") in
-        let oc = open_out path in
-        output_string oc csv;
-        close_out oc;
-        Fmt.epr "wrote %s@." path
-    in
-    let result = Service.run_remote client ~spec ~on_row ~on_table () in
-    Service.close client;
-    let remaining = List.filter (fun (n, _) -> not (Hashtbl.mem printed n)) selected in
-    (match result with
-    | Ok st ->
-      if verbose then
-        Fmt.epr
-          "[svc] daemon served %d job row(s): %d computed, %d deduplicated, %d cached@."
-          (st.Service.rs_computed + st.Service.rs_dedup + st.Service.rs_cache)
-          st.Service.rs_computed st.Service.rs_dedup st.Service.rs_cache
-    | Error e ->
-      Fmt.epr "[svc] daemon failed (%s); running %d remaining artifact(s) locally@." e
-        (List.length remaining));
-    remaining
 
 let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune emu_interp timeout retries
-    keep_going resume sample sample_parallel warm_trace connect =
+    keep_going resume sample sample_parallel warm_trace =
   Wish_util.Faultpoint.arm_from_env ();
   if gc_tune then Wish_util.Gc_stats.tune ();
   Wish_emu.Trace.use_interpreter := emu_interp;
@@ -117,17 +59,6 @@ let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune emu_interp 
             exit 2)
         names
   in
-  (* Remote-first when --connect is given: whatever the daemon delivered
-     is done; anything left (daemon down, torn stream, failed job) falls
-     through to the local machinery below. *)
-  let selected =
-    match connect with
-    | None -> selected
-    | Some socket ->
-      remote_run ~socket ~selected ~scale ~benchmarks ~sample ~csv_dir ~verbose
-  in
-  if selected = [] then ()
-  else begin
   let policy = { Lab.default_policy with timeout; retries; keep_going } in
   let cache = if no_cache then None else Some (Cache.create ()) in
   let lab =
@@ -182,8 +113,9 @@ let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune emu_interp 
             selected;
           let st = Lab.batch_stats lab in
           if verbose || st.retried > 0 || st.failed > 0 then
-            Fmt.epr "[lab] supervision: %d task(s) executed, %d retried, %d failed, %d cache hit(s), %d resumed@."
-              st.executed st.retried st.failed st.cache_hits st.resumed;
+            Fmt.epr
+              "[lab] supervision: %d task(s) executed, %d retried, %d failed, %d cache hit(s), %d resumed, %d found after a lease wait@."
+              st.executed st.retried st.failed st.cache_hits st.resumed st.lease_waited;
           if verbose then
             Fmt.epr "[lab] gc: %s; peak RSS %d KiB@."
               (Wish_util.Gc_stats.summary_line ())
@@ -201,7 +133,6 @@ let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune emu_interp 
           1)
   in
   if code <> 0 then exit code
-  end
 
 (* ----------------------------------------------------------------- *)
 (* cache verify / cache prune                                         *)
@@ -237,10 +168,12 @@ let cache_verify dir quiet =
 let cache_prune dir =
   let cache = Cache.create ?dir () in
   let r = Cache.prune cache in
-  Fmt.pr "%s: kept %d, evicted %d stale, evicted %d retired (%s), quarantined %d corrupt (see %s)@."
+  Fmt.pr
+    "%s: kept %d, evicted %d stale, evicted %d retired (%s), quarantined %d corrupt (see %s), \
+     swept %d orphan temp file(s) and %d orphan lease(s)@."
     (Cache.dir cache) r.kept r.evicted_stale r.evicted_retired
     (String.concat ", " Cache.retired_kinds)
-    r.quarantined (Cache.quarantine_dir cache)
+    r.quarantined (Cache.quarantine_dir cache) r.swept_tmp r.swept_leases
 
 let cache_stats dir =
   let cache = Cache.create ?dir () in
@@ -281,8 +214,9 @@ let cache_cmd =
       (Cmd.info "prune"
          ~doc:
            (Printf.sprintf
-              "Evict stale-format entries and entries of retired kinds (%s), and move corrupt \
-               ones to the quarantine directory"
+              "Evict stale-format entries and entries of retired kinds (%s), move corrupt \
+               ones to the quarantine directory, and delete temp and lease files left by \
+               killed processes"
               (String.concat ", " Cache.retired_kinds)))
       Term.(const cache_prune $ cache_dir_arg)
   in
@@ -370,18 +304,10 @@ let run_term =
                    the warming hooks fused into the compiled emulator (A/B lever; \
                    estimates are bit-identical, only slower)")
   in
-  let connect =
-    Arg.(value & opt (some string) None
-         & info [ "connect" ] ~docv:"PATH"
-             ~doc:"Run through the wishd daemon listening on this Unix-domain socket. \
-                   Identical jobs from concurrent clients are computed once (single-flight); \
-                   tables stream back byte-identical to a local run. If the daemon is \
-                   unreachable or fails mid-run, the remaining artifacts run locally.")
-  in
   Term.(
     const run $ names $ scale $ verbose $ benchmarks $ csv_dir $ jobs $ no_cache $ gc_tune
     $ emu_interp $ timeout $ retries $ keep_going $ resume $ sample $ sample_parallel
-    $ warm_trace $ connect)
+    $ warm_trace)
 
 let cmd =
   Cmd.v (Cmd.info "experiments" ~doc:"Regenerate the wish-branches paper's tables and figures")

@@ -4,6 +4,7 @@
     {v
     <root>/<kind>/<md5-of-key>.bin   header | payload | footer
     <root>/quarantine/<kind>_<file>  corrupt entries, moved aside on detection
+    <root>/<kind>/<md5-of-key>.bin.lease  single-flight lock, present while computing
     <root>/journal.log               append-only completed-job-key journal
     v}
 
@@ -172,6 +173,66 @@ let store t ~kind ~key v =
   with Sys_error _ | Unix.Unix_error _ -> ()
 
 (* --------------------------------------------------------------- *)
+(* Single-flight lease                                              *)
+(* --------------------------------------------------------------- *)
+
+let lease_suffix = ".lease"
+
+type origin = Computed | Found | Found_after_wait
+
+(* [Some (fd, waited)] once [file] is locked, [None] if it cannot be.
+   EINTR retries. EDEADLK also retries after a short pause: locks belong
+   to processes, so two processes whose worker domains hold one lease
+   each and wait on the other's look like a cycle to the kernel, but no
+   holder ever waits while it holds, so the cycle always clears. *)
+let acquire_lease ~on_wait file =
+  match Unix.openfile file [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644 with
+  | exception Unix.Unix_error _ -> None
+  | fd -> (
+    let rec lock cmd =
+      try Unix.lockf fd cmd 0 with
+      | Unix.Unix_error (Unix.EINTR, _, _) -> lock cmd
+      | Unix.Unix_error (Unix.EDEADLK, _, _) ->
+        Unix.sleepf 0.01;
+        lock cmd
+    in
+    let locked =
+      match lock Unix.F_TLOCK with
+      | () -> Some false
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EACCES), _, _) -> (
+        on_wait ();
+        match lock Unix.F_LOCK with () -> Some true | exception Unix.Unix_error _ -> None)
+      | exception Unix.Unix_error _ -> None
+    in
+    match locked with
+    | Some waited -> Some (fd, waited)
+    | None ->
+      Unix.close fd;
+      None)
+
+let single_flight t ~kind ~key ?(on_wait = ignore) f =
+  let compute () =
+    let v = f () in
+    store t ~kind ~key v;
+    (v, Computed)
+  in
+  let file = path t ~kind ~key ^ lease_suffix in
+  mkdir_p (Filename.dirname file);
+  match acquire_lease ~on_wait file with
+  | None -> compute ()
+  | Some (fd, waited) -> (
+    (* Unlink before closing: a waiter still queued on this inode wakes
+       to a stored entry, and a newcomer finds the entry before it ever
+       looks for a lease. *)
+    Fun.protect ~finally:(fun () ->
+        (try Unix.unlink file with Unix.Unix_error _ -> ());
+        Unix.close fd)
+    @@ fun () ->
+    match find t ~kind ~key with
+    | Some v -> (v, if waited then Found_after_wait else Found)
+    | None -> compute ())
+
+(* --------------------------------------------------------------- *)
 (* Completion journal                                               *)
 (* --------------------------------------------------------------- *)
 
@@ -272,7 +333,14 @@ let scan t =
       (Sys.readdir t.root);
   List.sort (fun (a, _) (b, _) -> compare a b) !entries
 
-type prune_report = { kept : int; evicted_stale : int; evicted_retired : int; quarantined : int }
+type prune_report = {
+  kept : int;
+  evicted_stale : int;
+  evicted_retired : int;
+  quarantined : int;
+  swept_tmp : int;
+  swept_leases : int;
+}
 
 type verify_report = {
   v_entries : (string * status) list;
@@ -365,6 +433,52 @@ let stats t =
    it stopped materializing traces; nothing reads them any more. *)
 let retired_kinds = [ "trace" ]
 
+(* Debris a killed process leaves next to the entries: a [store] temp
+   file whose writer died before its rename ([.tmp.<pid>.<n>], orphaned
+   once that pid is gone), and a lease whose holder died with no waiter
+   to take it over (orphaned once nobody holds its lock). A live
+   writer's temp file and a held lease are left alone. *)
+let sweep_debris t =
+  let tmp = ref 0 and leases = ref 0 in
+  let remove file counter =
+    match Sys.remove file with () -> incr counter | exception Sys_error _ -> ()
+  in
+  (* [<md5>.bin.tmp.<pid>.<n>] whose writer no longer exists. *)
+  let orphan_tmp name =
+    match List.rev (String.split_on_char '.' name) with
+    | n :: pid :: "tmp" :: "bin" :: _ when int_of_string_opt n <> None -> (
+      match int_of_string_opt pid with
+      | None -> false
+      | Some pid -> (
+        match Unix.kill pid 0 with
+        | () -> false
+        | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
+        | exception Unix.Unix_error _ -> false))
+    | _ -> false
+  in
+  let sweep_lease file =
+    match Unix.openfile file [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 with
+    | exception Unix.Unix_error _ -> ()
+    | fd ->
+      (match Unix.lockf fd Unix.F_TLOCK 0 with
+      | () -> remove file leases
+      | exception Unix.Unix_error _ -> ());
+      Unix.close fd
+  in
+  if Sys.file_exists t.root && Sys.is_directory t.root then
+    Array.iter
+      (fun kind ->
+        let kdir = Filename.concat t.root kind in
+        if kind <> "quarantine" && Sys.is_directory kdir then
+          Array.iter
+            (fun name ->
+              let file = Filename.concat kdir name in
+              if Filename.check_suffix name lease_suffix then sweep_lease file
+              else if orphan_tmp name then remove file tmp)
+            (Sys.readdir kdir))
+      (Sys.readdir t.root);
+  (!tmp, !leases)
+
 let prune t =
   let report =
     List.fold_left
@@ -382,11 +496,19 @@ let prune t =
         | Entry_corrupt _ ->
           quarantine t file ~kind;
           { acc with quarantined = acc.quarantined + 1 })
-      { kept = 0; evicted_stale = 0; evicted_retired = 0; quarantined = 0 }
+      {
+        kept = 0;
+        evicted_stale = 0;
+        evicted_retired = 0;
+        quarantined = 0;
+        swept_tmp = 0;
+        swept_leases = 0;
+      }
       (scan t)
   in
+  let swept_tmp, swept_leases = sweep_debris t in
   List.iter (fun k -> try Sys.rmdir (Filename.concat t.root k) with Sys_error _ -> ()) retired_kinds;
-  report
+  { report with swept_tmp; swept_leases }
 
 let clear t =
   let rec rm d =

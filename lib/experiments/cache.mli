@@ -22,6 +22,12 @@
     including two domains of one process racing on the same key — can at
     worst waste work: readers only ever observe a complete entry.
 
+    Concurrent processes sharing a cache directory compute each missing
+    entry once: {!single_flight} serializes its computation under a
+    per-entry lease (an fcntl lock on [<entry>.bin.lease]), and a
+    process that finds the lease held waits, then reads the entry the
+    holder stored.
+
     The cache also hosts a small append-only {e journal} of completed
     job keys ({!journal_append}/{!journal_load}) that lets an
     interrupted batch resume and skip finished work; lines are
@@ -64,6 +70,36 @@ val find : t -> kind:string -> key:string -> 'a option
     overwriting any previous entry. I/O errors are swallowed: a cache
     that cannot write behaves like a cache that forgets. *)
 val store : t -> kind:string -> key:string -> 'a -> unit
+
+(** How {!single_flight} obtained its value. *)
+type origin =
+  | Computed  (** this call ran the thunk (and stored its value) *)
+  | Found  (** the entry was stored by the time the lease was taken *)
+  | Found_after_wait  (** stored by another process while this one waited on its lease *)
+
+(** [single_flight t ~kind ~key ?on_wait f] — the entry under
+    [(kind, key)], computed at most once across processes. It takes an
+    exclusive lock on the lease file [<entry>.bin.lease], calling
+    [on_wait] first if another process holds it, then looks the entry
+    up again; only if it is still missing does it run [f], {!store} its
+    value and return it. The lease is unlinked and closed on every exit
+    path, exceptions from [f] included.
+
+    Call it after a {!find} miss. The contract:
+    - the lock is released by the kernel when its holder dies, so a
+      killed holder never blocks a waiter, which then computes the
+      value itself; no lease is ever broken by hand;
+    - if the lease cannot be opened or locked, [f] runs and its value
+      is stored without one, as {!store} swallows I/O errors;
+    - fcntl locks belong to processes, so two domains of one process do
+      not exclude each other on a key. The Lab is safe because a batch
+      never runs one key twice;
+    - [f] must not take another lease;
+    - a waiter blocks for as long as the holder computes. In the Lab
+      that time counts toward a job's [--timeout], and the retry then
+      reads the stored entry. *)
+val single_flight :
+  t -> kind:string -> key:string -> ?on_wait:(unit -> unit) -> (unit -> 'a) -> 'a * origin
 
 (** Remove every entry (the directory itself is kept). Also removes the
     journal and any quarantined files. *)
@@ -119,6 +155,8 @@ type prune_report = {
   evicted_stale : int;
   evicted_retired : int;  (** entries of a {!retired_kinds} kind, whatever their status *)
   quarantined : int;
+  swept_tmp : int;  (** temp files of {!store} writers that died before renaming *)
+  swept_leases : int;  (** lease files nobody holds (their holder died unwaited-for) *)
 }
 
 (** Kind directories no current writer produces (["trace"]); {!prune}
@@ -127,12 +165,15 @@ val retired_kinds : string list
 
 (** [prune t] — {!scan}, then delete every entry of a {!retired_kinds}
     kind, delete stale-version entries, and move corrupt ones to the
-    quarantine. *)
+    quarantine. It also sweeps debris killed processes leave: temp files
+    whose writing pid is gone, and lease files it can lock (so no live
+    process holds them). Locks belong to processes, so do not prune from
+    a process that is itself running leased jobs on this cache. *)
 val prune : t -> prune_report
 
-(** Occupancy snapshot for [experiments cache stats] — what the service
-    daemon is serving from. Reads only headers and file sizes; nothing
-    on disk is modified, verified, or deserialized. *)
+(** Occupancy snapshot for [experiments cache stats] — what concurrent
+    runs sharing this directory read from. Reads only headers and file
+    sizes; nothing on disk is modified, verified, or deserialized. *)
 type stats = {
   st_entries : int;  (** entry files under every kind directory *)
   st_bytes : int;  (** their total size on disk *)

@@ -17,7 +17,10 @@
       bit-identical to the serial path;
     - an optional persistent {!Cache}: summaries are looked up by
       (bench, binary, input, scale, config) before being recomputed and
-      stored after, making repeated runs incremental across processes;
+      stored after, making repeated runs incremental across processes.
+      A missed summary is computed under its cache lease
+      ({!Cache.single_flight}), so concurrent runs sharing a cache
+      directory simulate each summary once;
     - compile variants: a job may name its kind recompiled with another
       wish-jump threshold ([job_wish_n]); the variant is compiled from
       the bench's training profile inside its simulate task, so it gets
@@ -100,6 +103,7 @@ type batch_stats = {
   mutable failed : int; (* tasks that exhausted their retry budget *)
   mutable cache_hits : int;
   mutable resumed : int; (* journaled jobs served from the cache *)
+  mutable lease_waited : int; (* found after waiting on another process's lease *)
 }
 
 (** How the lab simulates: [Sample_auto] scales a sampling spec to each
@@ -145,7 +149,8 @@ let create ?(scale = 1) ?names ?(jobs = 1) ?cache ?(resume = false) ?sample
     cache;
     journal;
     stop = Atomic.make false;
-    stats = { executed = 0; retried = 0; failed = 0; cache_hits = 0; resumed = 0 };
+    stats =
+      { executed = 0; retried = 0; failed = 0; cache_hits = 0; resumed = 0; lease_waited = 0 };
     sample;
     sample_parallel;
   }
@@ -165,13 +170,17 @@ let batch_stats t =
     failed = s.failed;
     cache_hits = s.cache_hits;
     resumed = s.resumed;
+    lease_waited = s.lease_waited;
   }
 
 let request_stop t = Atomic.set t.stop true
 let stop_requested t = Atomic.get t.stop
 let check_stop t = if Atomic.get t.stop then raise Interrupted
 
-let set_logger t f = t.log <- f
+(* Simulate tasks log from worker domains; one lock keeps lines whole. *)
+let set_logger t f =
+  let m = Mutex.create () in
+  t.log <- (fun s -> Mutex.protect m (fun () -> f s))
 
 let benches t = t.benches
 let bench_names t = List.map (fun (b : Wish_workloads.Bench.t) -> b.name) t.benches
@@ -220,9 +229,9 @@ let memo_key j = (j.job_bench, binary_name j, j.job_input, j.job_config)
 
 let describe_job j = Printf.sprintf "%s/%s input %s" j.job_bench (binary_name j) j.job_input
 
-(* The persistent-cache identity of a job's summary — also the key the
-   service daemon's single-flight table coalesces identical in-flight
-   jobs on. Standard binaries keep their historical keys; sampled
+(* The persistent-cache identity of a job's summary — also the key of
+   the lease concurrent processes compute it under. Standard binaries
+   keep their historical keys; sampled
    results live under distinct keys (suffix [|sampleW:D] or
    [|sampleauto]), so a cache survives turning sampling on and off. *)
 let summary_key_of_job t j =
@@ -255,14 +264,38 @@ let log_simulating t j =
 let cached_summary t key =
   match t.cache with None -> None | Some c -> Cache.find c ~kind:"summary" ~key
 
-(* Summaries are the unit of batch completion: storing one also journals
-   its key, which is what lets an interrupted batch resume. *)
-let store_summary t key s =
+(* [leased t j simulate] — [j]'s summary after a cache miss: computed
+   and stored under the job's cache lease, or read back once another
+   process holding the lease has stored it. Safe on a worker domain: it
+   only logs, and touches no table. *)
+let leased t j simulate =
+  let simulate () =
+    log_simulating t j;
+    simulate ()
+  in
   match t.cache with
-  | None -> ()
+  | None -> (simulate (), Cache.Computed)
   | Some c ->
-    Cache.store c ~kind:"summary" ~key s;
-    Cache.journal_append c key
+    let on_wait () =
+      t.log (Printf.sprintf "waiting: %s (leased by another process)" (describe_job j))
+    in
+    let s, origin =
+      Cache.single_flight c ~kind:"summary" ~key:(summary_key_of_job t j) ~on_wait simulate
+    in
+    if origin = Cache.Found then t.log ("cache hit: summary " ^ describe_job j);
+    (s, origin)
+
+(* Fold a [leased] outcome into the tables, on the calling domain.
+   Summaries are the unit of batch completion: journaling the key is
+   what lets an interrupted batch resume. *)
+let settle t j (s, origin) =
+  (match origin with
+  | Cache.Computed -> ()
+  | Cache.Found -> t.stats.cache_hits <- t.stats.cache_hits + 1
+  | Cache.Found_after_wait -> t.stats.lease_waited <- t.stats.lease_waited + 1);
+  Option.iter (fun c -> Cache.journal_append c (summary_key_of_job t j)) t.cache;
+  Hashtbl.replace t.results (memo_key j) s;
+  s
 
 (* --------------------------------------------------------------- *)
 (* Serial (memoized, cache-backed) accessors                        *)
@@ -306,24 +339,17 @@ let run t ~bench ~kind ?input ?config ?wish_n () =
   let j = job ~bench ~kind ?input ?config ?wish_n () in
   match Hashtbl.find_opt t.results (memo_key j) with
   | Some s -> s
-  | None ->
-    let ckey = summary_key_of_job t j in
-    let s =
-      match cached_summary t ckey with
-      | Some s ->
-        t.stats.cache_hits <- t.stats.cache_hits + 1;
-        t.log ("cache hit: summary " ^ describe_job j);
-        s
-      | None ->
-        let p = job_program t j () in
-        log_simulating t j;
-        let pool = if t.sample_parallel then t.pool else None in
-        let s = simulate_with t ?pool ~config:j.job_config p in
-        store_summary t ckey s;
-        s
-    in
-    Hashtbl.add t.results (memo_key j) s;
-    s
+  | None -> (
+    match cached_summary t (summary_key_of_job t j) with
+    | Some s ->
+      t.stats.cache_hits <- t.stats.cache_hits + 1;
+      t.log ("cache hit: summary " ^ describe_job j);
+      Hashtbl.add t.results (memo_key j) s;
+      s
+    | None ->
+      let program = job_program t j in
+      let pool = if t.sample_parallel then t.pool else None in
+      settle t j (leased t j (fun () -> simulate_with t ?pool ~config:j.job_config (program ()))))
 
 (* --------------------------------------------------------------- *)
 (* Batched (parallel, supervised) execution                         *)
@@ -430,7 +456,10 @@ let supervised_map t ~policy ~stage ~describe f xs =
     resolves every job (memo table, then disk cache, then
     compile/simulate fanned over the worker pool, each stage under
     the retry/timeout policy) and returns per-job outcomes in [jobs]
-    order. All memo and cache mutation happens on the calling domain. *)
+    order. A simulate task stores its summary under its cache lease
+    before releasing it ({!Cache.store} is domain-safe); the memo
+    tables, counters and journal are only touched on the calling
+    domain. *)
 let run_batch_results ?(policy = default_policy) t jobs =
   check_stop t;
   (* Stage 1: compile missing binaries (one job per bench). A bench whose
@@ -478,33 +507,28 @@ let run_batch_results ?(policy = default_policy) t jobs =
         end)
       todo
   in
-  (* Stage 3: simulate, trace-free; a compile variant is compiled first,
-     inside its task. [lab.trace] is cut first, before the emulator
-     starts, so fault schedules that arm it stay valid. *)
+  (* Stage 3: simulate, trace-free, each job under its cache lease; a
+     compile variant is compiled first, inside its task. [lab.trace] is
+     cut first, before the emulator starts, so fault schedules that arm
+     it stay valid; [lab.slow] sleeps inside the lease, like a slow
+     simulation. *)
   let failed_runs : (string * string * string * Wish_sim.Config.t, failure) Hashtbl.t =
     Hashtbl.create 4
   in
   if todo <> [] then begin
-    let tasks =
-      List.map
-        (fun j ->
-          log_simulating t j;
-          (j, job_program t j))
-        todo
-    in
+    let tasks = List.map (fun j -> (j, job_program t j)) todo in
     List.iter2
       (fun (j, _) -> function
-        | Ok s ->
-          Hashtbl.replace t.results (memo_key j) s;
-          store_summary t (summary_key_of_job t j) s
+        | Ok out -> ignore (settle t j out)
         | Error fl -> Hashtbl.replace failed_runs (memo_key j) fl)
       tasks
       (supervised_map t ~policy ~stage:"simulate" ~describe:(fun (j, _) -> describe_job j)
          (fun (j, program) ->
            Faultpoint.cut fp_trace;
            Faultpoint.cut fp_simulate;
-           if Faultpoint.fires fp_slow then Unix.sleepf (Faultpoint.delay_of fp_slow);
-           simulate_with t ~config:j.job_config (program ()))
+           leased t j (fun () ->
+               if Faultpoint.fires fp_slow then Unix.sleepf (Faultpoint.delay_of fp_slow);
+               simulate_with t ~config:j.job_config (program ())))
          tasks)
   end;
   (* Assemble per-job outcomes, [jobs] order. *)

@@ -18,7 +18,10 @@
     domains ({!run_batch}/{!prewarm} fan independent jobs across it, with
     results folded back deterministically on the calling domain) and an
     optional persistent {!Cache} of summaries consulted before any
-    recomputation. There is no trace memo and no trace is ever
+    recomputation. A summary the cache misses is computed under its
+    cache lease ({!Cache.single_flight}), so concurrent processes
+    sharing a cache directory compute each summary once; the others
+    wait and read it back. There is no trace memo and no trace is ever
     materialized: exact runs stream emulation into the timing core
     ([Runner.simulate ~streaming:true]) and sampled runs warm trace-free
     inside the emulator ({!Wish_sim.Runner.simulate_sampled} without a
@@ -80,11 +83,14 @@ val jobs : t -> int
     [Fun.protect ~finally:(fun () -> Lab.shutdown lab)]. *)
 val shutdown : t -> unit
 
-(** [set_logger t f] — progress callbacks for compilations/simulations.
-    A simulation is announced as
-    [simulating <bench>/<binary> input <I> cfg <8 hex digits>] (the
+(** [set_logger t f] — progress callbacks for compilations/simulations,
+    called from worker domains under a lock. A simulation is announced
+    as [simulating <bench>/<binary> input <I> cfg <8 hex digits>] (the
     binary as in {!describe_job}), the digits being the head of the
-    machine-configuration digest in its summary's cache key. *)
+    machine-configuration digest in its summary's cache key; a job
+    whose lease another process holds is announced as
+    [waiting: <bench>/<binary> input <I> (leased by another process)]
+    and is not simulated if the holder stores its summary. *)
 val set_logger : t -> (string -> unit) -> unit
 
 val benches : t -> Wish_workloads.Bench.t list
@@ -151,6 +157,8 @@ type batch_stats = {
   mutable failed : int;  (** tasks that exhausted their retry budget *)
   mutable cache_hits : int;
   mutable resumed : int;  (** journaled jobs served from the cache *)
+  mutable lease_waited : int;
+      (** summaries found after waiting on another process's lease *)
 }
 
 val batch_stats : t -> batch_stats
@@ -209,8 +217,8 @@ val with_baselines : job list -> job list
     kind's name, e.g. [gzip|wish-jump-join|A|scale1|cfg…], so standard
     jobs keep their historical keys; a compile variant appends [.n<N>]
     to it ([gzip|wish-jump-join.n5|A|…]), which no standard kind name
-    can produce. This is the identity the service daemon deduplicates
-    identical in-flight jobs on. *)
+    can produce. It is also the key of the lease a cache miss computes
+    under, so concurrent processes deduplicate in-flight jobs on it. *)
 val summary_key_of_job : t -> job -> string
 
 (** [describe_job j] — [<bench>/<binary> input <I>], the binary named as

@@ -168,6 +168,7 @@ type t = {
   release_trace : bool; (* false inside a detailed sampling window *)
   mutable retired_trace_idx : int; (* highest trace index retired so far *)
   mem_words : int;
+  trace_fwd : bool; (* WISH_TRACE_FWD debug stream enabled *)
   (* µop free pools (plain / branch-carrying): retired and squashed µops
      are reinitialized instead of reallocated, so steady-state fetch
      allocates nothing. Pool occupancy is bounded by the maximum number
@@ -228,6 +229,7 @@ let create ?warm ?(start_cursor = 0) ?start_pc ?(release_trace = true) config
     release_trace;
     retired_trace_idx = start_cursor - 1;
     mem_words = program.mem_words;
+    trace_fwd = Sys.getenv_opt "WISH_TRACE_FWD" <> None;
     pool_plain = [];
     pool_branch = [];
   }
@@ -527,7 +529,7 @@ let translate_plain t ~pc ~(inst : Inst.t) ~(di : dinfo) ~path ~(entry : Oracle.
   if pdsts <> [] then
     Wish_fsm.on_decode_writes t.fsm pdsts ~complement_pair:di.d_complement_pair;
   let guard_forwarded = forwarded <> None || knobs.no_depend in
-  if Sys.getenv_opt "WISH_TRACE_FWD" <> None then
+  if t.trace_fwd then
     Printf.eprintf "fwd pc=%d guard=%d forwarded=%b mode=%s\n" pc inst.guard
       (forwarded <> None)
       (match Wish_fsm.mode t.fsm with

@@ -12,9 +12,6 @@
 
 module FP = Wish_util.Faultpoint
 module Pool = Wish_util.Pool
-module Procpool = Wish_util.Procpool
-module Framing = Wish_util.Framing
-module J = Wish_util.Perf_json
 module Table = Wish_util.Table
 module Cache = Wish_experiments.Cache
 module Lab = Wish_experiments.Lab
@@ -115,6 +112,122 @@ let test_faultpoint_env () =
   Alcotest.(check bool) "first env cut fires" true (raised (fun () -> FP.cut "test.env"));
   Alcotest.(check bool) "second env cut fires" true (raised (fun () -> FP.cut "test.env"));
   Alcotest.(check bool) "third env cut is quiet" false (raised (fun () -> FP.cut "test.env"))
+
+(* ----------------------------------------------------------------- *)
+(* Lease: cross-process single-flight on a cache entry               *)
+(* ----------------------------------------------------------------- *)
+
+(* These fork, so they run before any section that spawns a domain
+   (OCaml 5 refuses [Unix.fork] once a domain has been created). *)
+
+let lease_files dir =
+  let kdirs = if Sys.file_exists dir then Array.to_list (Sys.readdir dir) else [] in
+  List.concat_map
+    (fun k ->
+      let kdir = Filename.concat dir k in
+      if Sys.is_directory kdir then
+        List.filter (fun f -> Filename.check_suffix f ".lease") (Array.to_list (Sys.readdir kdir))
+      else [])
+    kdirs
+
+(* Fork a process that takes the lease on [(kind, key)] and, holding it,
+   signals the parent, sleeps [hold] seconds and returns [v]. Returns
+   once the holder holds the lease. *)
+let fork_holder c ~kind ~key ~hold v =
+  let r, w = Unix.pipe ~cloexec:true () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close r;
+    (try
+       ignore
+         (Cache.single_flight c ~kind ~key (fun () ->
+              ignore (Unix.write_substring w "x" 0 1);
+              Unix.sleepf hold;
+              v))
+     with _ -> ());
+    Unix._exit 0
+  | pid ->
+    Unix.close w;
+    let buf = Bytes.create 1 in
+    let n = Unix.read r buf 0 1 in
+    Unix.close r;
+    if n <> 1 then Alcotest.fail "holder died before taking its lease";
+    pid
+
+let reap pid = snd (Unix.waitpid [] pid)
+
+(* A hung lease would hang the suite; SIGALRM kills it instead. *)
+let with_deadline secs f =
+  ignore (Unix.alarm secs);
+  Fun.protect ~finally:(fun () -> ignore (Unix.alarm 0)) f
+
+let test_lease_waiter_reads_holder () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  with_deadline 30 @@ fun () ->
+  let c = Cache.create ~dir () in
+  let holder = fork_holder c ~kind:"t" ~key:"k" ~hold:0.3 42 in
+  let waited = ref false in
+  let t0 = Unix.gettimeofday () in
+  let v, origin =
+    Cache.single_flight c ~kind:"t" ~key:"k"
+      ~on_wait:(fun () -> waited := true)
+      (fun () -> Alcotest.fail "the waiter ran its own thunk")
+  in
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "holder exited cleanly" true (reap holder = Unix.WEXITED 0);
+  Alcotest.(check int) "the holder's value" 42 v;
+  Alcotest.(check bool) "on_wait announced the wait" true !waited;
+  Alcotest.(check bool) "reported as found after a wait" true (origin = Cache.Found_after_wait);
+  Alcotest.(check bool) (Printf.sprintf "blocked until the holder stored (%.2fs)" dt) true (dt > 0.1);
+  Alcotest.(check (list string)) "no lease file left" [] (lease_files dir)
+
+let test_lease_holder_killed () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  with_deadline 30 @@ fun () ->
+  let c = Cache.create ~dir () in
+  let holder = fork_holder c ~kind:"t" ~key:"k" ~hold:60.0 1 in
+  let killer =
+    match Unix.fork () with
+    | 0 ->
+      Unix.sleepf 0.3;
+      (try Unix.kill holder Sys.sigkill with Unix.Unix_error _ -> ());
+      Unix._exit 0
+    | pid -> pid
+  in
+  let waited = ref false in
+  let t0 = Unix.gettimeofday () in
+  let v, origin =
+    Cache.single_flight c ~kind:"t" ~key:"k" ~on_wait:(fun () -> waited := true) (fun () -> 7)
+  in
+  let dt = Unix.gettimeofday () -. t0 in
+  ignore (reap killer);
+  Alcotest.(check bool) "holder died by SIGKILL" true (reap holder = Unix.WSIGNALED Sys.sigkill);
+  Alcotest.(check bool) "the waiter did wait" true !waited;
+  Alcotest.(check bool) (Printf.sprintf "waiter freed promptly (%.2fs)" dt) true (dt < 10.0);
+  Alcotest.(check int) "the waiter computed its own value" 7 v;
+  Alcotest.(check bool) "reported as computed" true (origin = Cache.Computed);
+  Alcotest.(check (option int)) "and stored it" (Some 7) (Cache.find c ~kind:"t" ~key:"k");
+  Alcotest.(check (list string)) "no lease file left" [] (lease_files dir)
+
+let test_lease_unwritable () =
+  (* The cache root sits under a regular file: neither the lease nor the
+     entry can be created, so every call computes. *)
+  let file = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf file) @@ fun () ->
+  close_out (open_out file);
+  let c = Cache.create ~dir:(Filename.concat file "cache") () in
+  let calls = ref 0 in
+  let compute () =
+    incr calls;
+    5
+  in
+  let v1, o1 = Cache.single_flight c ~kind:"t" ~key:"k" compute in
+  let v2, o2 = Cache.single_flight c ~kind:"t" ~key:"k" compute in
+  Alcotest.(check (list int)) "computed values" [ 5; 5 ] [ v1; v2 ];
+  Alcotest.(check int) "thunk ran on every call" 2 !calls;
+  Alcotest.(check bool) "reported as computed" true (o1 = Cache.Computed && o2 = Cache.Computed)
 
 (* ----------------------------------------------------------------- *)
 (* Pool supervision: a worker dying mid-task loses nothing            *)
@@ -223,6 +336,42 @@ let test_cache_concurrent_writers () =
   | _ -> Alcotest.fail "expected exactly one intact entry");
   Alcotest.(check bool) "no writer ever quarantined anything" false
     (Sys.file_exists (Cache.quarantine_dir c))
+
+(* Debris of killed processes next to the entries: a temp file whose
+   writer died before its rename and a lease nobody holds are swept; a
+   temp file of a live writer and a lease a live process holds are
+   kept. Forks, so it runs before any domain is spawned. *)
+let test_cache_prune_debris () =
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  with_deadline 30 @@ fun () ->
+  let c = Cache.create ~dir () in
+  Cache.store c ~kind:"t" ~key:"k" value;
+  let entry =
+    match Cache.scan c with
+    | [ (rel, Cache.Entry_ok) ] -> Filename.concat dir rel
+    | _ -> Alcotest.fail "expected one intact entry"
+  in
+  let dead = match Unix.fork () with 0 -> Unix._exit 0 | pid -> pid in
+  ignore (reap dead);
+  let touch f = close_out (open_out f) in
+  let orphan_tmp = Printf.sprintf "%s.tmp.%d.0" entry dead in
+  let live_tmp = Printf.sprintf "%s.tmp.%d.0" entry (Unix.getpid ()) in
+  let orphan_lease = entry ^ ".lease" in
+  List.iter touch [ orphan_tmp; live_tmp; orphan_lease ];
+  let holder = fork_holder c ~kind:"t" ~key:"held" ~hold:60.0 0 in
+  Fun.protect ~finally:(fun () ->
+      (try Unix.kill holder Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (reap holder))
+  @@ fun () ->
+  let r = Cache.prune c in
+  Alcotest.(check int) "the entry is kept" 1 r.kept;
+  Alcotest.(check int) "one orphan temp file swept" 1 r.swept_tmp;
+  Alcotest.(check int) "one orphan lease swept" 1 r.swept_leases;
+  Alcotest.(check bool) "orphan temp file gone" false (Sys.file_exists orphan_tmp);
+  Alcotest.(check bool) "live writer's temp file kept" true (Sys.file_exists live_tmp);
+  Alcotest.(check bool) "orphan lease gone" false (Sys.file_exists orphan_lease);
+  Alcotest.(check int) "the held lease is kept" 1 (List.length (lease_files dir))
 
 let test_journal_torn_line () =
   with_reset @@ fun () ->
@@ -338,94 +487,6 @@ let test_resume_skips_journaled () =
   Alcotest.(check int) "both jobs served as resumed" 2 st.resumed
 
 (* ----------------------------------------------------------------- *)
-(* Service: worker-process death and torn client connections          *)
-(* ----------------------------------------------------------------- *)
-
-(* The daemon's forked worker pool, driven the way service.ml drives it:
-   submit, select on busy pipes, turn readable pipes into events. An
-   armed [svc.worker] SIGKILLs the worker right after the job frame is
-   handed over; the parent must see the corpse's EOF as a [Died] event
-   carrying the ticket, respawn into the same slot, and complete the
-   resubmitted job — nothing lost, capacity intact. *)
-let test_procpool_worker_death () =
-  with_reset @@ fun () ->
-  (* The doomed job must outlive the parent's SIGKILL (sent right after
-     the job frame is written): an instant echo could race the kill and
-     hand back a completed result instead of a corpse. *)
-  let handler s =
-    if s = "job" then ignore (Unix.select [] [] [] 0.2);
-    "echo:" ^ s
-  in
-  let pool = Procpool.create ~size:2 ~handler () in
-  Fun.protect ~finally:(fun () -> Procpool.shutdown pool) @@ fun () ->
-  let submit payload =
-    match Procpool.try_submit pool payload with
-    | Some tk -> tk
-    | None -> Alcotest.fail "no idle worker"
-  in
-  (* Drive the event loop until [tickets] have all yielded results,
-     resubmitting any job whose worker died with it in flight. *)
-  let collect tickets =
-    let pending = Hashtbl.create 4 in
-    List.iter (fun (tk, payload) -> Hashtbl.replace pending tk payload) tickets;
-    let results = ref [] in
-    let deadline = Unix.gettimeofday () +. 30.0 in
-    while Hashtbl.length pending > 0 do
-      if Unix.gettimeofday () > deadline then Alcotest.fail "job never completed";
-      match Unix.select (Procpool.busy_fds pool) [] [] 5.0 with
-      | [], _, _ -> ()
-      | fd :: _, _, _ -> (
-        match Procpool.handle_readable pool fd with
-        | Some (Procpool.Result (tk, r)) ->
-          if not (Hashtbl.mem pending tk) then Alcotest.fail "result for an unknown ticket";
-          Hashtbl.remove pending tk;
-          results := r :: !results
-        | Some (Procpool.Died (Some tk)) -> (
-          match Hashtbl.find_opt pending tk with
-          | Some payload ->
-            Hashtbl.remove pending tk;
-            Hashtbl.replace pending (submit payload) payload
-          | None -> Alcotest.fail "death reported for an unknown ticket")
-        | Some (Procpool.Died None) | None -> ())
-    done;
-    List.sort compare !results
-  in
-  FP.arm "svc.worker" ~times:1;
-  let tk = submit "job" in
-  let rs = collect [ (tk, "job") ] in
-  note "svc.worker";
-  Alcotest.(check (list string)) "requeued job completed on the respawn" [ "echo:job" ] rs;
-  Alcotest.(check int) "exactly one respawn" 1 (Procpool.respawns pool);
-  (* The healed pool is back at full capacity: both slots take a job. *)
-  let t1 = submit "a" and t2 = submit "b" in
-  Alcotest.(check int) "no idle worker left" 0 (Procpool.idle pool);
-  let rs = collect [ (t1, "a"); (t2, "b") ] in
-  Alcotest.(check (list string)) "both complete" [ "echo:a"; "echo:b" ] rs
-
-(* An armed [svc.conn.torn] makes [send] leave half a frame on the wire
-   and raise the same EPIPE a dying peer would: the sender takes its
-   connection-drop path, and the reader's recv comes back as a
-   structured tear — never a hang, a raise, or a partial value. *)
-let test_conn_torn () =
-  with_reset @@ fun () ->
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ a; b ])
-  @@ fun () ->
-  FP.arm "svc.conn.torn" ~times:1;
-  let v = J.Obj [ ("rows", J.List (List.init 64 (fun i -> J.Int i))) ] in
-  (match Framing.send a v with
-  | () -> Alcotest.fail "armed send must fail like a broken pipe"
-  | exception Unix.Unix_error (Unix.EPIPE, _, _) -> ());
-  note "svc.conn.torn";
-  Unix.close a;
-  match Framing.recv b with
-  | Error (Framing.Torn _) | Error (Framing.Malformed _) -> ()
-  | Error e -> Alcotest.failf "expected Torn/Malformed, got %s" (Framing.error_to_string e)
-  | Ok _ -> Alcotest.fail "recv returned a value from a torn stream"
-
-(* ----------------------------------------------------------------- *)
 (* Emulator-compiler miscompile drill site                            *)
 (* ----------------------------------------------------------------- *)
 
@@ -480,24 +541,27 @@ let () =
             test_faultpoint_determinism;
           Alcotest.test_case "WISH_FAULTS env arming" `Quick test_faultpoint_env;
         ] );
-      (* Before any domain-spawning section: Procpool forks, and OCaml 5
-         forbids [Unix.fork] once other domains exist — the same
-         constraint that keeps the real daemon process domain-free. *)
-      ( "service",
+      (* Forking sections first: OCaml 5 forbids [Unix.fork] once any
+         domain has been created, and "pool" onwards spawn domains. *)
+      ( "lease",
         [
-          Alcotest.test_case "worker death: requeue + respawn" `Quick test_procpool_worker_death;
-          Alcotest.test_case "torn connection surfaces structurally" `Quick test_conn_torn;
+          Alcotest.test_case "waiter reads the holder's value" `Quick
+            test_lease_waiter_reads_holder;
+          Alcotest.test_case "SIGKILLed holder frees the waiter" `Quick test_lease_holder_killed;
+          Alcotest.test_case "unwritable lease path computes" `Quick test_lease_unwritable;
         ] );
-      ( "pool",
-        [ Alcotest.test_case "worker death: requeue + respawn" `Quick test_pool_worker_death ] );
       ( "cache",
         [
+          Alcotest.test_case "prune sweeps debris of killed processes" `Quick
+            test_cache_prune_debris;
           Alcotest.test_case "torn write quarantined, recomputed" `Quick test_cache_torn_write;
           Alcotest.test_case "bit flip fails the checksum" `Quick test_cache_corrupt_write;
           Alcotest.test_case "stale format evicted on contact" `Quick test_cache_stale_eviction;
           Alcotest.test_case "concurrent writers never tear" `Quick test_cache_concurrent_writers;
           Alcotest.test_case "journal survives a torn append" `Quick test_journal_torn_line;
         ] );
+      ( "pool",
+        [ Alcotest.test_case "worker death: requeue + respawn" `Quick test_pool_worker_death ] );
       ( "lab",
         [
           Alcotest.test_case "fig10 byte-identical under faults" `Slow
