@@ -29,7 +29,7 @@ let tiny_hammock ~wish =
     ]
   in
   let rng = Wish_util.Rng.create 5 in
-  let data = List.init 256 (fun k -> (64 + k, Wish_util.Rng.int rng 2)) in
+  let data = [ (64, Array.init 256 (fun _ -> Wish_util.Rng.int rng 2)) ] in
   Wish_isa.Program.create ~mem_words:4096 ~data (Wish_isa.Asm.assemble items)
 
 (* The BENCH_hotloop.json case list: name, machine configuration, and

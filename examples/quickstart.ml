@@ -50,8 +50,9 @@ let program_ast =
 (* Input data: two uncorrelated pseudo-random arrays. *)
 let data =
   let rng = Util.Rng.create 7 in
-  List.init 2048 (fun k ->
-      ((if k < 1024 then 1000 + k else 3000 + k - 1024), Util.Rng.int rng 65536))
+  let a = Array.init 1024 (fun _ -> Util.Rng.int rng 65536) in
+  let b = Array.init 1024 (fun _ -> Util.Rng.int rng 65536) in
+  [ (1000, a); (3000, b) ]
 
 let () =
   (* 1. Compile. Profile feedback comes from the same input here; real

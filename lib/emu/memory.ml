@@ -9,7 +9,7 @@ let create ~words = { words = Array.make words 0 }
 
 let of_program (p : Wish_isa.Program.t) =
   let t = create ~words:p.mem_words in
-  List.iter (fun (addr, v) -> t.words.(addr) <- v) p.data;
+  List.iter (fun (base, seg) -> Array.blit seg 0 t.words base (Array.length seg)) p.data;
   t
 
 let size t = Array.length t.words

@@ -7,7 +7,8 @@ exception Fault of int
 
 val create : words:int -> t
 
-(** [of_program p] allocates [p.mem_words] words and applies [p.data]. *)
+(** [of_program p] allocates [p.mem_words] words and copies [p.data]'s
+    segments in, in order; the program's arrays are never aliased. *)
 val of_program : Wish_isa.Program.t -> t
 
 val size : t -> int

@@ -181,6 +181,8 @@ let gen_data g =
   let n = Rng.int g.rng 17 in
   List.init n (fun _ -> (Rng.int g.rng data_region, gen_int g))
 
+let segments d = List.map (fun (a, v) -> (a, [| v |])) d
+
 let generate seed =
   let g = { rng = Rng.create seed; nvars = 0; budget = 36 } in
   (* Functions first (no forward calls, so no recursion). *)

@@ -29,8 +29,9 @@ type case = {
   c_seed : int;  (** the per-case seed this case is a pure function of *)
   c_name : string;
   c_ast : Wish_compiler.Ast.program;
-  c_profile_data : (int * int) list;  (** training input (compile-time profile) *)
-  c_eval_data : (int * int) list;  (** evaluation input the oracles run *)
+  c_profile_data : (int * int) list;
+      (** training input (compile-time profile), as (address, value) pairs *)
+  c_eval_data : (int * int) list;  (** evaluation input the oracles run, likewise *)
   c_mem_words : int;
   c_outs : int;  (** live-out slots the epilogue stores at [out_base..] *)
 }
@@ -42,6 +43,12 @@ val out_base : int
 (** [case_seed ~root i] — the per-case seed of case [i] under root seed
     [root]; an avalanche mix, so nearby indices share no structure. *)
 val case_seed : root:int -> int -> int
+
+(** [segments d] — a case input as program data: one one-word segment per
+    pair, in order, so a repeated address keeps its later value. Inputs
+    stay pairs inside a case so the shrinker can drop single words; this
+    is the one place they become {!Wish_isa.Program.segment}s. *)
+val segments : (int * int) list -> Wish_isa.Program.segment list
 
 (** [generate seed] — the case, deterministically. *)
 val generate : int -> case

@@ -362,7 +362,7 @@ let compile (c : Gen.case) =
   try
     Ok
       (Compiler.compile_all ~mem_words:c.Gen.c_mem_words ~fuel ~name:c.Gen.c_name
-         ~profile_data:c.Gen.c_profile_data c.Gen.c_ast)
+         ~profile_data:(Gen.segments c.Gen.c_profile_data) c.Gen.c_ast)
   with e -> Error (exn_label e)
 
 let check ?cache_dir ~names (c : Gen.case) =
@@ -370,7 +370,8 @@ let check ?cache_dir ~names (c : Gen.case) =
   match compile c with
   | Error reason -> List.map (fun n -> (n, Skip ("compile: " ^ reason))) names
   | Ok bins ->
-    let eval kind = Program.with_data (Compiler.binary bins kind) c.Gen.c_eval_data in
+    let eval_data = Gen.segments c.Gen.c_eval_data in
+    let eval kind = Program.with_data (Compiler.binary bins kind) eval_data in
     let run = function
       | Lockstep ->
         combine

@@ -215,6 +215,21 @@ let numeric_targets lines =
     lines;
   found
 
+(* Words from consecutive [.data] lines with consecutive addresses become
+   one segment; file order is kept, so a word written twice still takes
+   its later value. *)
+let segments_of_words words =
+  let flush base n rev_vals acc =
+    if n = 0 then acc else (base, Array.of_list (List.rev rev_vals)) :: acc
+  in
+  let rec go base n rev_vals acc = function
+    | [] -> List.rev (flush base n rev_vals acc)
+    | (a, v) :: rest ->
+      if n > 0 && a = base + n then go base (n + 1) (v :: rev_vals) acc rest
+      else go a 1 [ v ] (flush base n rev_vals acc) rest
+  in
+  go 0 0 [] [] words
+
 (** [program_of_string ?name text] parses a full assembly file. *)
 let program_of_string ?(name = "asm") text =
   let lines = String.split_on_char '\n' text in
@@ -236,7 +251,7 @@ let program_of_string ?(name = "asm") text =
           | _ -> error ln "invalid .mem size %S" n)
         | [ ".data"; addr; value ] -> (
           match (int_of_string_opt addr, int_of_string_opt value) with
-          | Some a, Some v -> data := (a, v) :: !data
+          | Some a, Some v -> data := (ln, a, v) :: !data
           | _ -> error ln "invalid .data directive")
         | _ -> error ln "unknown directive %S" line)
       | Label_line l -> items := Asm.label l :: !items
@@ -250,7 +265,18 @@ let program_of_string ?(name = "asm") text =
     lines;
   if Hashtbl.length numeric > 0 then error 0 "numeric target beyond end of program";
   let code = Asm.assemble (List.rev !items) in
-  Program.create ~name ?mem_words:!mem_words ~data:(List.rev !data) code
+  (* Checked once the whole file is read: [.mem] may follow the [.data]
+     lines it bounds. *)
+  let mem_words = Option.value !mem_words ~default:Program.default_mem_words in
+  let words =
+    List.map
+      (fun (ln, a, v) ->
+        if a < 0 || a >= mem_words then
+          error ln ".data address %d outside data memory [0, %d)" a mem_words;
+        (a, v))
+      (List.rev !data)
+  in
+  Program.create ~name ~mem_words ~data:(segments_of_words words) code
 
 (** [program_of_file path] reads and parses an assembly file. *)
 let program_of_file path =
@@ -276,7 +302,10 @@ let listing_of_program (p : Program.t) =
   let buf = Buffer.create 512 in
   Buffer.add_string buf (Printf.sprintf ".mem %d\n" p.Program.mem_words);
   List.iter
-    (fun (a, v) -> Buffer.add_string buf (Printf.sprintf ".data %d %d\n" a v))
+    (fun (base, words) ->
+      Array.iteri
+        (fun k v -> Buffer.add_string buf (Printf.sprintf ".data %d %d\n" (base + k) v))
+        words)
     p.Program.data;
   Buffer.add_string buf (listing_of_code p.Program.code);
   Buffer.contents buf

@@ -8,9 +8,10 @@
 exception Parse_error of { line : int; message : string }
 
 (** [program_of_string ?name text] parses a full assembly file. Raises
-    {!Parse_error} with a line number on malformed input, and the
-    assembler/code-image exceptions on unresolved labels or invalid
-    images. *)
+    {!Parse_error} with a line number on malformed input (including a
+    [.data] address outside the file's [.mem] size, wherever the [.mem]
+    line is), and the assembler/code-image exceptions on unresolved
+    labels or invalid images. *)
 val program_of_string : ?name:string -> string -> Program.t
 
 (** [program_of_file path] reads and parses an assembly file. *)

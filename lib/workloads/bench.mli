@@ -7,7 +7,7 @@
     branch predictability and loop trip counts, and designates the input
     the compiler profiles on (the paper's compile-time training input). *)
 
-type input = { label : string; data : (int * int) list }
+type input = { label : string; data : Wish_isa.Program.segment list }
 
 type t = {
   name : string;
@@ -24,14 +24,16 @@ type t = {
 (** [input t label] — raises [Invalid_argument] for unknown labels. *)
 val input : t -> string -> input
 
-val profile_data : t -> (int * int) list
+val profile_data : t -> Wish_isa.Program.segment list
 
 (** [program_for t binary input_label] binds an input set to a compiled
     binary of this workload. *)
 val program_for : t -> Wish_isa.Program.t -> string -> Wish_isa.Program.t
 
-(** [array_at base values] materializes an array initialization. *)
-val array_at : int -> int list -> (int * int) list
+(** [array_at base values] — the segment placing [values] at word
+    address [base]. [values] is shared, not copied. *)
+val array_at : int -> int array -> Wish_isa.Program.segment
 
-(** [gen ~seed n f] builds [n] values from a fresh deterministic RNG. *)
-val gen : seed:int -> int -> (Wish_util.Rng.t -> int -> int) -> int list
+(** [gen ~seed n f] builds [n] values from a fresh deterministic RNG,
+    calling [f rng k] for [k = 0 .. n-1] in order. *)
+val gen : seed:int -> int -> (Wish_util.Rng.t -> int -> int) -> int array

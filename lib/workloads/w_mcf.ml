@@ -72,13 +72,16 @@ let ast scale =
    the interesting inputs sit at 99+%. *)
 let build_input ~seed ~bias =
   let rng = Wish_util.Rng.create seed in
-  Bench.array_at idx_base
-    (List.init idx_len (fun _ -> Wish_util.Rng.int rng big_len))
-  @ Bench.array_at cost_base
-      (List.init big_len (fun _ ->
-           if Wish_util.Rng.int rng 1000 < bias then 101 + Wish_util.Rng.int rng 900
-           else Wish_util.Rng.int rng 100))
-  @ Bench.array_at tree_base (List.init big_len (fun _ -> Wish_util.Rng.int rng 4096))
+  (* One RNG fills all three arrays, so the fill order is part of each
+     input's identity: tree, then cost, then idx. *)
+  let tree = Array.init big_len (fun _ -> Wish_util.Rng.int rng 4096) in
+  let cost =
+    Array.init big_len (fun _ ->
+        if Wish_util.Rng.int rng 1000 < bias then 101 + Wish_util.Rng.int rng 900
+        else Wish_util.Rng.int rng 100)
+  in
+  let idx = Array.init idx_len (fun _ -> Wish_util.Rng.int rng big_len) in
+  [ Bench.array_at idx_base idx; Bench.array_at cost_base cost; Bench.array_at tree_base tree ]
 
 let bench ~scale =
   {

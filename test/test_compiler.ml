@@ -76,7 +76,7 @@ and ref_block funcs vars mem b = List.iter (ref_stmt funcs vars mem) b
 
 let reference_memory (p : Ast.program) data =
   let mem = Array.make mem_words 0 in
-  List.iter (fun (a, v) -> mem.(a) <- v) data;
+  List.iter (fun (base, words) -> Array.blit words 0 mem base (Array.length words)) data;
   ref_block p.funcs (Hashtbl.create 16) mem p.main;
   mem
 
@@ -132,7 +132,7 @@ let test_if_else_both_paths () =
   List.iter
     (fun x ->
       check_agree
-        ~data:[ (0, x) ]
+        ~data:[ (0, [| x |]) ]
         {
           Ast.funcs = [];
           main =
@@ -154,7 +154,7 @@ let test_nested_if_predication () =
   List.iter
     (fun (x, y) ->
       check_agree
-        ~data:[ (0, x); (1, y) ]
+        ~data:[ (0, [| x; y |]) ]
         {
           Ast.funcs = [];
           main =
@@ -258,7 +258,7 @@ let test_profile_changes_base_def () =
         ];
     }
   in
-  let data = List.init 64 (fun k -> (k, k)) (* x <= 63: branch never taken *) in
+  let data = [ (0, Array.init 64 (fun k -> k)) ] (* x <= 63: branch never taken *) in
   let bins = Compiler.compile_all ~mem_words ~name:"p" ~profile_data:data ast in
   let count_guarded kind =
     let code = Wish_isa.Program.code (Compiler.binary bins kind) in
@@ -287,7 +287,7 @@ let test_wish_binary_contains_wish_branches () =
         ];
     }
   in
-  let bins = Compiler.compile_all ~mem_words ~name:"w" ~profile_data:[ (0, 1) ] ast in
+  let bins = Compiler.compile_all ~mem_words ~name:"w" ~profile_data:[ (0, [| 1 |]) ] ast in
   let wish_count kind =
     Wish_isa.Code.static_wish_branches (Wish_isa.Program.code (Compiler.binary bins kind))
   in
@@ -307,7 +307,7 @@ let test_codegen_rejects_call_in_region () =
      branch and compilation succeeds — the error fires only for the
      (internal) inconsistent case, so here we just assert success. *)
   let open Ast.O in
-  check_agree ~data:[ (0, 1) ]
+  check_agree ~data:[ (0, [| 1 |]) ]
     {
       Ast.funcs = [ ("f", [ "a" <-- (v "a" + i 1) ]) ];
       main =
@@ -466,7 +466,7 @@ let prop_five_binaries_equivalent =
   QCheck.Test.make ~name:"all five binaries match the reference interpreter" ~count:120
     arbitrary_program
     (fun ast ->
-      let data = List.init 64 (fun k -> (data_base + k, (k * 37) land 255)) in
+      let data = [ (data_base, Array.init 64 (fun k -> (k * 37) land 255)) ] in
       agree_all ~data ast)
 
 let prop_branch_numbering_stable =

@@ -178,8 +178,28 @@ let test_wish_branches_architectural () =
 (* Memory ------------------------------------------------------------------ *)
 
 let test_load_store () =
-  let st = run_items ~data:[ (10, 7) ] Asm.[ load 3 0 10; alu Inst.Add 3 3 (Inst.Imm 1); store 3 0 11; halt ] in
+  let st = run_items ~data:[ (10, [| 7 |]) ] Asm.[ load 3 0 10; alu Inst.Add 3 3 (Inst.Imm 1); store 3 0 11; halt ] in
   check Alcotest.int "load+store" 8 (Memory.read st.mem 11)
+
+(* Segments apply in list order (a later overlapping write wins), empty
+   ones are no-ops, and the program's arrays are copied, never aliased. *)
+let test_segments_in_order () =
+  let st = run_items ~data:[ (10, [| 1; 2; 3 |]); (7, [||]); (11, [| 9 |]) ] Asm.[ halt ] in
+  check Alcotest.(list int) "later wins" [ 0; 1; 9; 3; 0 ]
+    (List.init 5 (fun k -> Memory.read st.mem (9 + k)))
+
+let test_segments_not_aliased () =
+  let seg = [| 7 |] in
+  let program =
+    Program.create ~mem_words:64 ~data:[ (10, seg) ]
+      (Asm.assemble Asm.[ load 3 0 10; alu Inst.Add 3 3 (Inst.Imm 1); store 3 0 10; halt ])
+  in
+  let first = Exec.run program in
+  let second = Exec.run program in
+  check Alcotest.int "first run" 8 (Memory.read first.mem 10);
+  check Alcotest.int "second run sees the initial value" 8 (Memory.read second.mem 10);
+  check Alcotest.int "same memory" (Memory.checksum first.mem) (Memory.checksum second.mem);
+  check Alcotest.int "segment untouched" 7 seg.(0)
 
 let test_memory_fault () =
   Alcotest.check_raises "out of range" (Memory.Fault 4096) (fun () ->
@@ -594,6 +614,8 @@ let () =
       ( "memory",
         [
           Alcotest.test_case "load/store" `Quick test_load_store;
+          Alcotest.test_case "segments in order" `Quick test_segments_in_order;
+          Alcotest.test_case "segments not aliased" `Quick test_segments_not_aliased;
           Alcotest.test_case "fault" `Quick test_memory_fault;
           Alcotest.test_case "fuel" `Quick test_fuel_exhaustion;
         ] );

@@ -127,22 +127,47 @@ let test_byte_pc () = check Alcotest.int "4 bytes per inst" 40 (Code.byte_pc 10)
 
 let test_program_validation () =
   let code = Asm.(assemble [ halt ]) in
-  let p = Program.create ~name:"t" ~data:[ (5, 42) ] ~mem_words:64 code in
+  let p = Program.create ~name:"t" ~data:[ (5, [| 42 |]) ] ~mem_words:64 code in
   check Alcotest.string "name" "t" (Program.name p);
   Alcotest.check_raises "data out of range"
     (Invalid_argument "Program.create: data out of range") (fun () ->
-      ignore (Program.create ~data:[ (64, 1) ] ~mem_words:64 code));
+      ignore (Program.create ~data:[ (64, [| 1 |]) ] ~mem_words:64 code));
   Alcotest.check_raises "bad entry" (Invalid_argument "Program.create: bad entry") (fun () ->
       ignore (Program.create ~entry:5 ~mem_words:64 code))
 
 let test_program_with_data () =
   let code = Asm.(assemble [ halt ]) in
   let p = Program.create ~mem_words:64 code in
-  let p2 = Program.with_data p [ (3, 9) ] in
-  Alcotest.(check (list (pair int int))) "data rebound" [ (3, 9) ] p2.data;
+  let p2 = Program.with_data p [ (3, [| 9 |]) ] in
+  Alcotest.(check (list (pair int (array int)))) "data rebound" [ (3, [| 9 |]) ] p2.data;
   Alcotest.check_raises "with_data validates"
     (Invalid_argument "Program.with_data: out of range") (fun () ->
-      ignore (Program.with_data p [ (100, 1) ]))
+      ignore (Program.with_data p [ (100, [| 1 |]) ]))
+
+(* A segment must lie inside memory: one check per segment, at both ends. *)
+let test_program_segment_bounds () =
+  let code = Asm.(assemble [ halt ]) in
+  let create data = ignore (Program.create ~data ~mem_words:64 code) in
+  let p = Program.create ~mem_words:64 code in
+  create [ (61, [| 1; 2; 3 |]) ];
+  List.iter
+    (fun (what, data) ->
+      Alcotest.check_raises (what ^ " (create)")
+        (Invalid_argument "Program.create: data out of range") (fun () -> create data);
+      Alcotest.check_raises (what ^ " (with_data)")
+        (Invalid_argument "Program.with_data: out of range") (fun () ->
+          ignore (Program.with_data p data)))
+    [
+      ("negative base", [ (-1, [| 1 |]) ]);
+      ("runs past the end", [ (0, [| 1 |]); (62, [| 1; 2; 3 |]) ]);
+      ("base past the end", [ (max_int, [| 1 |]) ]);
+    ]
+
+let test_program_empty_segments () =
+  let code = Asm.(assemble [ halt ]) in
+  let p = Program.create ~data:[ (5, [||]); (64, [||]) ] ~mem_words:64 code in
+  check Alcotest.int "kept" 2 (List.length p.data);
+  ignore (Program.with_data p [ (0, [||]) ])
 
 (* Assembly text parser --------------------------------------------------- *)
 
@@ -170,7 +195,7 @@ loop:
   in
   check Alcotest.int "instruction count" 11 (Code.length p.code);
   check Alcotest.int "mem size" 256 p.mem_words;
-  Alcotest.(check (list (pair int int))) "data" [ (10, 42) ] p.data;
+  Alcotest.(check (list (pair int (array int)))) "data" [ (10, [| 42 |]) ] p.data;
   let i1 = Code.get p.code 1 in
   check Alcotest.int "guard parsed" 1 i1.Inst.guard;
   Alcotest.(check bool) "spec parsed" true i1.Inst.spec;
@@ -195,6 +220,42 @@ halt";
 halt";
   expect_error_line 1 ".mem zero
 halt"
+
+(* A [.data] address outside memory is a parse error on its own line,
+   whether the [.mem] bounding it comes before or after. *)
+let test_parse_data_out_of_range () =
+  let expect line text =
+    match Parse.program_of_string text with
+    | exception Parse.Parse_error { line = l; message } ->
+      check Alcotest.int ("line of " ^ message) line l;
+      Alcotest.(check bool) "names the directive" true (String.starts_with ~prefix:".data" message)
+    | _ -> Alcotest.fail "expected parse error"
+  in
+  expect 2 ".mem 64\n.data 100 1\nhalt";
+  expect 1 ".data 100 1\n.mem 64\nhalt";
+  expect 2 ".mem 64\n.data -1 1\nhalt";
+  expect 3 ".mem 64\n.data 63 1\n.data 64 1\nhalt"
+
+(* Consecutive [.data] words parse into one segment, file order kept, and
+   listing -> parse -> listing is a fixed point. *)
+let test_parse_data_listing_fixed_point () =
+  let text = ".mem 64\n.data 10 1\n.data 11 2\n.data 20 3\n.data 11 5\nhalt\n" in
+  let p = Parse.program_of_string text in
+  Alcotest.(check (list (pair int (array int))))
+    "segments"
+    [ (10, [| 1; 2 |]); (20, [| 3 |]); (11, [| 5 |]) ]
+    p.data;
+  check Alcotest.string "listing" text (Parse.listing_of_program p);
+  let b = Wish_workloads.Workloads.find ~scale:1 "gzip" in
+  let bins =
+    Wish_compiler.Compiler.compile_all ~mem_words:b.mem_words ~name:b.name
+      ~profile_data:(Wish_workloads.Bench.profile_data b) b.ast
+  in
+  let p = Wish_workloads.Bench.program_for b bins.normal "A" in
+  let listing = Parse.listing_of_program p in
+  let reparsed = Parse.program_of_string listing in
+  Alcotest.(check (list (pair int (array int)))) "gzip input A segments" p.data reparsed.data;
+  check Alcotest.string "gzip listing" listing (Parse.listing_of_program reparsed)
 
 let test_parse_roundtrip_compiled_binaries () =
   (* The printer's listing must parse back to the identical code image —
@@ -322,11 +383,15 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_program_validation;
           Alcotest.test_case "with_data" `Quick test_program_with_data;
+          Alcotest.test_case "segment bounds" `Quick test_program_segment_bounds;
+          Alcotest.test_case "empty segments" `Quick test_program_empty_segments;
         ] );
       ( "parse",
         [
           Alcotest.test_case "basic program" `Quick test_parse_basic_program;
           Alcotest.test_case "errors carry lines" `Quick test_parse_errors;
+          Alcotest.test_case "data out of range" `Quick test_parse_data_out_of_range;
+          Alcotest.test_case "data listing fixed point" `Quick test_parse_data_listing_fixed_point;
           Alcotest.test_case "listings round-trip" `Quick test_parse_roundtrip_compiled_binaries;
           Alcotest.test_case "dangling numeric target" `Quick
             test_parse_rejects_dangling_numeric_target;

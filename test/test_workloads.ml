@@ -135,6 +135,71 @@ let test_retirement_matches_trace () =
         Wish_compiler.Compiler.all_kinds)
     [ "gzip"; "vortex" ]
 
+(* Input identity: every input's memory image, folded as (address, value)
+   words in segment order, against digests taken from the original
+   pair-list builders. Guards each builder's RNG draw order. *)
+let image_digest (data : Wish_isa.Program.segment list) =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (base, words) ->
+      Array.iteri
+        (fun k v ->
+          Buffer.add_int64_le buf (Int64.of_int (base + k));
+          Buffer.add_int64_le buf (Int64.of_int v))
+        words)
+    data;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let input_digests =
+  [
+    ("gzip", 1, "A", "e1fb17628352a845870774587a663814");
+    ("gzip", 1, "B", "182581056841e6fc69e7d805f0963e47");
+    ("gzip", 1, "C", "5cf00542408bdc50edf667edfd2b8233");
+    ("vpr", 1, "A", "db6d3384eb5b83eb0682e1a34bdfb995");
+    ("vpr", 1, "B", "e8e46446ac5c497c132bbd7dbfe360a7");
+    ("vpr", 1, "C", "474f7ee7699bcf7bd65373cdf2dab2ef");
+    ("mcf", 1, "A", "51983e3c7a7579b000d0840a96dc8a0e");
+    ("mcf", 1, "B", "97e83891850d57cce5ac90d42cf34f3c");
+    ("mcf", 1, "C", "f9275aaaccf39946e5173f3cc4736be6");
+    ("crafty", 1, "A", "53a6a1d6f390c1cf9fe2780b215c4db3");
+    ("crafty", 1, "B", "90b1088bbc82d67a0224cde2abd62f88");
+    ("crafty", 1, "C", "7048a7e87f2db0d24b6fc8f586cea7fe");
+    ("parser", 1, "A", "05dbb245f8051c4cf0464891483b9398");
+    ("parser", 1, "B", "2ecfb397ff80c39c4adbb09687041d2f");
+    ("parser", 1, "C", "e02a746e63cce6da31b4084e547f9825");
+    ("gap", 1, "A", "8584d70efcf974772d23263f5897ea45");
+    ("gap", 1, "B", "65dff9f9ec3656302c0e00b17d2eaac5");
+    ("gap", 1, "C", "49cae75d2adf183abab6de723e3b1af3");
+    ("vortex", 1, "A", "eb316fcef8d571330706e4e57393353b");
+    ("vortex", 1, "B", "10f3d73f3ad211cee019e6dd74564d2b");
+    ("vortex", 1, "C", "eecf0d3eabe8b566dea01b0b7251ed51");
+    ("bzip2", 1, "A", "67a739f8c4572780eb9078fb868b6c34");
+    ("bzip2", 1, "B", "45c7cd7feadc683c0fe4aed24a59f569");
+    ("bzip2", 1, "C", "b64257507d393f7634f64a06ac1880d1");
+    ("twolf", 1, "A", "d21fb692e4f1e25d347110293d0a6f80");
+    ("twolf", 1, "B", "4761861fa5e559bd2f5cd2f6a15e1c00");
+    ("twolf", 1, "C", "13d50e457e2e21df915d5178eb3238ed");
+    ("gzip", 100, "A", "e1fb17628352a845870774587a663814");
+    ("gzip", 100, "B", "182581056841e6fc69e7d805f0963e47");
+    ("gzip", 100, "C", "5cf00542408bdc50edf667edfd2b8233");
+    ("mcf", 100, "A", "51983e3c7a7579b000d0840a96dc8a0e");
+    ("mcf", 100, "B", "97e83891850d57cce5ac90d42cf34f3c");
+    ("mcf", 100, "C", "f9275aaaccf39946e5173f3cc4736be6");
+  ]
+
+let test_input_identity () =
+  List.iter
+    (fun (name, scale, label, digest) ->
+      let b = Workloads.find ~scale name in
+      check Alcotest.string
+        (Printf.sprintf "%s x%d input %s" name scale label)
+        digest
+        (image_digest (Bench.input b label).data))
+    input_digests;
+  check Alcotest.int "every scale-1 input pinned"
+    (List.length all * 3)
+    (List.length (List.filter (fun (_, s, _, _) -> s = 1) input_digests))
+
 let test_scale_parameter () =
   let small = Workloads.find ~scale:1 "gap" and big = Workloads.find ~scale:2 "gap" in
   let insts (b : Bench.t) =
@@ -158,6 +223,7 @@ let () =
           Alcotest.test_case "nine benchmarks" `Quick test_catalog;
           Alcotest.test_case "find" `Quick test_find;
           Alcotest.test_case "wish branches present" `Quick test_wish_binaries_have_wish_branches;
+          Alcotest.test_case "input identity" `Quick test_input_identity;
         ] );
       ("equivalence", equivalence_cases);
       ( "behaviour",
