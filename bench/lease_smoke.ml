@@ -7,19 +7,20 @@
    directory and regenerates fig10 over three of four benchmarks
    (rotating), as `experiments fig10 -b X -b Y -b Z` would: eight
    clients request 6x the distinct work. Required: summed over all
-   clients, the summaries simulated equal the distinct jobs requested,
-   and each client's jobs are exactly its simulated summaries, cache hits
-   and lease waits.
+   clients, the summaries simulated equal the distinct programs
+   requested (distinct content keys: jobs whose binaries are byte
+   identical share one run), and each client's jobs are exactly its
+   simulated summaries, cache hits, lease waits and shared runs.
 
    Kill phase: a holder process (its first simulation armed to stall via
    [lab.slow]) is SIGKILLed while a second process waits on its lease.
    Required: the waiter finishes promptly with a byte-identical table,
    and no lease file is left behind.
 
-   Baseline: N sequential cold serial Labs, one fresh cache each. Every
-   client table, and the waiter's, must be byte-identical to its
-   baseline twin. With 8 or more clients the aggregate speedup (baseline
-   wall / shared wall) must reach 4x.
+   Baseline: N sequential cold Labs, one fresh cache each, with the
+   clients' default pool size. Every client table, and the waiter's,
+   must be byte-identical to its baseline twin. With 8 or more clients
+   the aggregate speedup (baseline wall / shared wall) must reach 4x.
 
    Usage: lease_smoke.exe [--clients N] [--scale S]  (default 4 and 1,
    the @lease-smoke configuration; the acceptance run is
@@ -96,7 +97,7 @@ let expect_exit what pid =
 let cached_fig10 ~dir ~log i =
   let lab =
     Lab.create ~scale ~names:(matrix_of i)
-      ~jobs:(Wish_util.Pool.auto_size ())
+      ~jobs:(Wish_util.Pool.default_size ())
       ~cache:(Cache.create ~dir ()) ()
   in
   Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
@@ -105,22 +106,25 @@ let cached_fig10 ~dir ~log i =
   let table = Table.render (Figures.fig10 lab) in
   (table, Lab.batch_stats lab)
 
-(* Client i writes "<simulated> <cache hits> <lease waits>\n" and its table. *)
+(* Client i writes "<simulated> <cache hits> <lease waits> <shared>\n"
+   and its table. *)
 let client_main ~dir i out () =
   let simulated = ref 0 in
   let table, st =
     cached_fig10 ~dir i ~log:(fun s -> if prefixed "simulating" s then incr simulated)
   in
   write_file out
-    (Printf.sprintf "%d %d %d\n%s" !simulated st.Lab.cache_hits st.Lab.lease_waited table);
+    (Printf.sprintf "%d %d %d %d\n%s" !simulated st.Lab.cache_hits st.Lab.lease_waited
+       st.Lab.shared table);
   Unix._exit 0
 
-(* The distinct summaries matrix [i]'s fig10 resolves. *)
+(* The distinct summaries matrix [i]'s fig10 resolves, and the distinct
+   programs (content keys) behind them. *)
 let job_keys i =
   let lab = Lab.create ~scale ~names:(matrix_of i) () in
-  List.sort_uniq compare
-    (List.map (Lab.summary_key_of_job lab)
-       (Lab.with_baselines (Figures.jobs_for "fig10" lab)))
+  let jobs = Lab.with_baselines (Figures.jobs_for "fig10" lab) in
+  ( List.sort_uniq compare (List.map (Lab.summary_key_of_job lab) jobs),
+    List.sort_uniq compare (List.map (Lab.content_key_of_job lab) jobs) )
 
 let lease_files dir =
   let sdir = Filename.concat dir "summary" in
@@ -144,35 +148,38 @@ let shared_phase () =
   Array.iteri (fun i pid -> expect_exit (Printf.sprintf "client %d" i) pid) pids;
   let wall = Unix.gettimeofday () -. t0 in
   let keys = Array.init clients job_keys in
-  let simulated = ref 0 and hits = ref 0 and waited = ref 0 in
+  let simulated = ref 0 and hits = ref 0 and waited = ref 0 and shared = ref 0 in
   let tables =
     Array.mapi
       (fun i out ->
         let s = read_file out in
         let nl = String.index s '\n' in
-        let sim, hit, wait =
-          Scanf.sscanf (String.sub s 0 nl) "%d %d %d" (fun a b c -> (a, b, c))
+        let sim, hit, wait, share =
+          Scanf.sscanf (String.sub s 0 nl) "%d %d %d %d" (fun a b c d -> (a, b, c, d))
         in
-        let jobs = List.length keys.(i) in
-        if sim + hit + wait <> jobs then
-          fail "client %d: %d simulated + %d cache hits + %d lease waits <> its %d jobs" i sim
-            hit wait jobs;
+        let jobs = List.length (fst keys.(i)) in
+        if sim + hit + wait + share <> jobs then
+          fail "client %d: %d simulated + %d cache hits + %d lease waits + %d shared <> its %d jobs"
+            i sim hit wait share jobs;
         simulated := !simulated + sim;
         hits := !hits + hit;
         waited := !waited + wait;
+        shared := !shared + share;
         String.sub s (nl + 1) (String.length s - nl - 1))
       outs
   in
-  let distinct = List.length (List.sort_uniq compare (List.concat (Array.to_list keys))) in
-  let rows = !simulated + !hits + !waited in
-  if !simulated <> distinct then
-    fail "%d summaries simulated for %d distinct jobs: the lease let work through twice"
-      !simulated distinct;
+  let distinct f = List.length (List.sort_uniq compare (List.concat_map f (Array.to_list keys))) in
+  let programs = distinct snd in
+  let rows = !simulated + !hits + !waited + !shared in
+  if !simulated <> programs then
+    fail "%d summaries simulated for %d distinct programs: work got through twice" !simulated
+      programs;
   if lease_files dir <> [] then fail "lease files left in the shared cache";
   Printf.printf
-    "lease_smoke: %d clients, scale %d: %d job rows, %d simulated (= distinct jobs), %d cache \
-     hits, %d found after a lease wait; shared wall %.2fs\n%!"
-    clients scale rows !simulated !hits !waited wall;
+    "lease_smoke: %d clients, scale %d: %d job rows for %d distinct jobs, %d simulated (= \
+     distinct programs), %d cache hits, %d found after a lease wait, %d shared with an \
+     identical run; shared wall %.2fs\n%!"
+    clients scale rows (distinct fst) !simulated !hits !waited !shared wall;
   (tables, wall)
 
 (* --- kill phase: a stalled holder is SIGKILLed under a waiter --- *)
@@ -213,12 +220,12 @@ let kill_phase () =
   Printf.printf "lease_smoke: holder SIGKILLed mid-job; the waiter finished %.2fs later\n%!" dt;
   read_file waiter_out
 
-(* --- baseline: sequential cold serial Labs, fresh caches --- *)
+(* --- baseline: sequential cold Labs, fresh caches --- *)
 let cold_run i =
   let dir = Filename.concat root (Printf.sprintf "cold%d" i) in
   let lab =
     Lab.create ~scale ~names:(matrix_of i)
-      ~jobs:(Wish_util.Pool.auto_size ())
+      ~jobs:(Wish_util.Pool.default_size ())
       ~cache:(Cache.create ~dir ()) ()
   in
   Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
@@ -244,7 +251,7 @@ let () =
   if not (String.equal waiter_table cold.(0)) then
     fail "the waiter's table differs from its cold serial run";
   let speedup = wall_cold /. wall_shared in
-  Printf.printf "lease_smoke: %d sequential cold serial runs %.2fs; aggregate speedup %.1fx\n%!"
+  Printf.printf "lease_smoke: %d sequential cold runs %.2fs; aggregate speedup %.1fx\n%!"
     clients wall_cold speedup;
   if clients >= 8 && speedup < 4.0 then
     fail "aggregate speedup %.1fx is below the 4x acceptance floor" speedup;

@@ -114,8 +114,8 @@ let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune emu_interp 
           let st = Lab.batch_stats lab in
           if verbose || st.retried > 0 || st.failed > 0 then
             Fmt.epr
-              "[lab] supervision: %d task(s) executed, %d retried, %d failed, %d cache hit(s), %d resumed, %d found after a lease wait@."
-              st.executed st.retried st.failed st.cache_hits st.resumed st.lease_waited;
+              "[lab] supervision: %d task(s) executed, %d retried, %d failed, %d cache hit(s), %d resumed, %d found after a lease wait, %d summaries shared with an identical run@."
+              st.executed st.retried st.failed st.cache_hits st.resumed st.lease_waited st.shared;
           if verbose then
             Fmt.epr "[lab] gc: %s; peak RSS %d KiB@."
               (Wish_util.Gc_stats.summary_line ())
@@ -249,8 +249,7 @@ let run_term =
     Arg.(value & opt string "auto"
          & info [ "j"; "jobs" ]
              ~doc:"Worker domains for compile/trace/simulate fan-out: an integer, or \
-                   $(b,auto) (the default) for the machine's recommended domain count \
-                   minus one — one hardware thread stays with the coordinating domain — \
+                   $(b,auto) (the default) for the machine's recommended domain count, \
                    never below 1")
   in
   let no_cache =

@@ -132,8 +132,7 @@ let cmd =
     Arg.(value & opt string "auto"
          & info [ "j"; "jobs" ]
              ~doc:"Worker domains for --deep: an integer, or $(b,auto) (the default) for \
-                   the recommended domain count minus one (one hardware thread stays with \
-                   the coordinating domain), never below 1")
+                   the recommended domain count, never below 1")
   in
   let corpus =
     Arg.(value & opt string "test/fuzz_corpus"

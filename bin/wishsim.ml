@@ -182,8 +182,7 @@ let cmd =
     Arg.(value & opt string "auto"
          & info [ "j"; "jobs" ]
              ~doc:"Worker domains for --sample-parallel: an integer, or $(b,auto) (the \
-                   default) for the recommended domain count minus one (one hardware \
-                   thread stays with the coordinating domain), never below 1")
+                   default) for the recommended domain count, never below 1")
   in
   let gc_tune =
     Arg.(value & flag

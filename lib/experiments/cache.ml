@@ -33,9 +33,10 @@ type t = { root : string; version : int }
 
 (* Bump whenever a marshalled payload's in-memory type changes shape or
    the file layout changes (v2: chunked packed trace representation;
-   v3: integrity footer + completion journal). Stale entries self-evict
-   via the header check. *)
-let format_version = 3
+   v3: integrity footer + completion journal; v4: keys digest configs
+   without physical sharing, so every v3 key is orphaned). Stale entries
+   self-evict via the header check. *)
+let format_version = 4
 
 let default_dir () =
   match Sys.getenv_opt "WISH_CACHE_DIR" with Some d when d <> "" -> d | _ -> "_wishcache"
@@ -46,7 +47,10 @@ let create ?dir ?(version = format_version) () =
 let dir t = t.root
 let quarantine_dir t = Filename.concat t.root "quarantine"
 
-let digest_of v = Digest.to_hex (Digest.string (Marshal.to_string v []))
+(* [No_sharing]: the marshalled bytes, and so the digest, depend on the
+   value's structure only, not on which of its parts happen to be
+   physically shared. Every keyed value is acyclic. *)
+let digest_of v = Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
 
 (* One subdirectory per entry kind keeps the directory browsable and lets
    [clear] stay a simple recursive walk. *)

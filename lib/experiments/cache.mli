@@ -106,7 +106,9 @@ val single_flight :
 val clear : t -> unit
 
 (** [digest_of v] — hex MD5 of [v]'s marshalled bytes; used to fold
-    structured values (e.g. {!Wish_sim.Config.t}) into key strings. *)
+    structured values (e.g. {!Wish_sim.Config.t}) into key strings.
+    Marshalled without sharing, so structurally equal values digest
+    equal however they were built. [v] must be acyclic. *)
 val digest_of : 'a -> string
 
 (** {1 Completion journal} *)

@@ -23,8 +23,17 @@
       directory simulate each summary once;
     - compile variants: a job may name its kind recompiled with another
       wish-jump threshold ([job_wish_n]); the variant is compiled from
-      the bench's training profile inside its simulate task, so it gets
+      the bench's training profile as a supervised batch task, and gets
       the same memo, cache, pool and supervision as a standard binary;
+    - content sharing: a job that misses both the memo and the cache is
+      keyed by its content identity (bench, input, scale, sampling, a
+      digest of the program image, and the config with the fields a
+      wish-free program cannot observe reset). Each content key is
+      simulated once per lab, and every job with that key gets the
+      summary, stored under its own unchanged cache key. Byte-identical
+      binaries are common: BASE-DEF is the normal binary on six
+      benches, and A4's N=0/N=5 variants are wish-jj. Warm runs never
+      compute a content key;
     - trace-free simulation: no trace is ever materialized. Exact runs
       stream emulation into the timing core (bounded trace residency);
       sampled runs warm fused into the emulator, an auto spec sized by a
@@ -104,6 +113,7 @@ type batch_stats = {
   mutable cache_hits : int;
   mutable resumed : int; (* journaled jobs served from the cache *)
   mutable lease_waited : int; (* found after waiting on another process's lease *)
+  mutable shared : int; (* settled from an identical program's run *)
 }
 
 (** How the lab simulates: [Sample_auto] scales a sampling spec to each
@@ -114,11 +124,19 @@ let sampling_key = function
   | Sample_auto -> "auto"
   | Sample_spec s -> Wish_sim.Sampler.to_string s
 
+(* What a binary contributes to its jobs' content identity: a digest of
+   its program image and whether it holds any wish branch. *)
+type image = { image_digest : string; wish_free : bool }
+
 type t = {
   scale : int;
   mutable benches : Wish_workloads.Bench.t list;
   binaries : (string, Compiler.binaries) Hashtbl.t;
+  variants : (string * string, Wish_isa.Program.t) Hashtbl.t; (* compile variants by (bench, binary) *)
+  images : (string * string, image) Hashtbl.t; (* by (bench, binary) *)
   results : (string * string * string * Wish_sim.Config.t, Wish_sim.Runner.summary) Hashtbl.t;
+  runs : (string, string * Wish_sim.Runner.summary) Hashtbl.t;
+      (* content key -> (the job that ran it, its summary) *)
   mutable log : string -> unit;
   pool : Pool.t option;
   cache : Cache.t option;
@@ -143,14 +161,25 @@ let create ?(scale = 1) ?names ?(jobs = 1) ?cache ?(resume = false) ?sample
     scale;
     benches = List.map (Wish_workloads.Workloads.find ~scale) names;
     binaries = Hashtbl.create 16;
+    variants = Hashtbl.create 16;
+    images = Hashtbl.create 64;
     results = Hashtbl.create 256;
+    runs = Hashtbl.create 256;
     log = ignore;
     pool = (if jobs > 1 then Some (Pool.create ~size:jobs ()) else None);
     cache;
     journal;
     stop = Atomic.make false;
     stats =
-      { executed = 0; retried = 0; failed = 0; cache_hits = 0; resumed = 0; lease_waited = 0 };
+      {
+        executed = 0;
+        retried = 0;
+        failed = 0;
+        cache_hits = 0;
+        resumed = 0;
+        lease_waited = 0;
+        shared = 0;
+      };
     sample;
     sample_parallel;
   }
@@ -171,6 +200,7 @@ let batch_stats t =
     cache_hits = s.cache_hits;
     resumed = s.resumed;
     lease_waited = s.lease_waited;
+    shared = s.shared;
   }
 
 let request_stop t = Atomic.set t.stop true
@@ -264,14 +294,22 @@ let log_simulating t j =
 let cached_summary t key =
   match t.cache with None -> None | Some c -> Cache.find c ~kind:"summary" ~key
 
-(* [leased t j simulate] — [j]'s summary after a cache miss: computed
-   and stored under the job's cache lease, or read back once another
-   process holding the lease has stored it. Safe on a worker domain: it
-   only logs, and touches no table. *)
-let leased t j simulate =
+let store_summary t j s =
+  Option.iter (fun c -> Cache.store c ~kind:"summary" ~key:(summary_key_of_job t j) s) t.cache
+
+(* [leased t ~sharers j simulate] — [j]'s summary after a cache miss:
+   computed and stored under the job's cache lease, or read back once
+   another process holding the lease has stored it. A computed summary
+   is also stored under each of [sharers]' keys, before [j]'s own (the
+   lease stores that one on release): a process that finds [j]'s entry
+   then finds its sharers' too, and simulates none of them again. Safe
+   on a worker domain: it only logs and stores, and touches no table. *)
+let leased t ?(sharers = []) j simulate =
   let simulate () =
     log_simulating t j;
-    simulate ()
+    let s = simulate () in
+    List.iter (fun m -> store_summary t m s) sharers;
+    s
   in
   match t.cache with
   | None -> (simulate (), Cache.Computed)
@@ -285,17 +323,30 @@ let leased t j simulate =
     if origin = Cache.Found then t.log ("cache hit: summary " ^ describe_job j);
     (s, origin)
 
-(* Fold a [leased] outcome into the tables, on the calling domain.
+(* Fold a resolved summary into the tables, on the calling domain.
    Summaries are the unit of batch completion: journaling the key is
    what lets an interrupted batch resume. *)
+let record t j s =
+  Option.iter (fun c -> Cache.journal_append c (summary_key_of_job t j)) t.cache;
+  Hashtbl.replace t.results (memo_key j) s;
+  s
+
+(* Settle a [leased] outcome. *)
 let settle t j (s, origin) =
   (match origin with
   | Cache.Computed -> ()
   | Cache.Found -> t.stats.cache_hits <- t.stats.cache_hits + 1
   | Cache.Found_after_wait -> t.stats.lease_waited <- t.stats.lease_waited + 1);
-  Option.iter (fun c -> Cache.journal_append c (summary_key_of_job t j)) t.cache;
-  Hashtbl.replace t.results (memo_key j) s;
-  s
+  record t j s
+
+(* Settle [m] with the summary of [rep], a run of the same program under
+   a config [m] cannot tell from its own. [stored]: [leased] already
+   wrote [m]'s entry. *)
+let settle_shared t ~rep ?(stored = false) m s =
+  t.log (Printf.sprintf "shared: %s = %s (identical program)" (describe_job m) rep);
+  t.stats.shared <- t.stats.shared + 1;
+  if not stored then store_summary t m s;
+  record t m s
 
 (* --------------------------------------------------------------- *)
 (* Serial (memoized, cache-backed) accessors                        *)
@@ -315,24 +366,63 @@ let binaries t name =
     Hashtbl.add t.binaries name bins;
     bins
 
-(* [job_program t j] — a thunk for the program [j] simulates. A standard
-   binary is bound to its input now, on the calling domain. A compile
-   variant is recompiled by the thunk, from the training profile
-   [compile_all] already took, so a batched variant compiles on its
-   worker domain inside the supervised simulate task. *)
-let job_program t j =
-  let b = bench t j.job_bench and bins = binaries t j.job_bench in
-  match j.job_wish_n with
-  | None ->
-    let p = Wish_workloads.Bench.program_for b (Compiler.binary bins j.job_kind) j.job_input in
-    fun () -> p
-  | Some n ->
-    fun () ->
-      let policy = Policy.create ~profile:bins.profile ~wish_threshold_n:n j.job_kind in
-      let p, _ = Codegen.compile ~mem_words:b.mem_words ~policy ~name:(b.name ^ ".n") b.ast in
-      Wish_workloads.Bench.program_for b p j.job_input
+(* A compile variant's binary: [j]'s kind recompiled with wish-jump
+   threshold [n], from the training profile [compile_all] already took.
+   Pure, so the batched path runs it as a supervised task. *)
+let compile_variant (b : Wish_workloads.Bench.t) (bins : Compiler.binaries) j n =
+  let policy = Policy.create ~profile:bins.profile ~wish_threshold_n:n j.job_kind in
+  fst (Codegen.compile ~mem_words:b.mem_words ~policy ~name:(b.name ^ ".n") b.ast)
 
-let program t ~bench ~kind ~input = job_program t (job ~bench ~kind ~input ()) ()
+let variant_key j = (j.job_bench, binary_name j)
+
+(* [job_binary t j] — the binary [j] names, before its input is bound.
+   A compile variant is compiled on first use and kept. *)
+let job_binary t j =
+  let bins = binaries t j.job_bench in
+  match j.job_wish_n with
+  | None -> Compiler.binary bins j.job_kind
+  | Some n -> (
+    match Hashtbl.find_opt t.variants (variant_key j) with
+    | Some p -> p
+    | None ->
+      let p = compile_variant (bench t j.job_bench) bins j n in
+      Hashtbl.add t.variants (variant_key j) p;
+      p)
+
+let job_program t j = Wish_workloads.Bench.program_for (bench t j.job_bench) (job_binary t j) j.job_input
+let program t ~bench ~kind ~input = job_program t (job ~bench ~kind ~input ())
+
+(* [content_key_of_job t j] — what [j]'s summary depends on: bench,
+   input, scale and sampling mode (which fix the input data), a digest
+   of the program image, and the config with the fields the program
+   cannot observe reset ({!Wish_sim.Config.wish_free_canonical} when it
+   has no wish branch). Jobs with equal content keys have equal
+   summaries, so the lab simulates each content key once. The image is
+   digested once per (bench, binary); the key is computed only for jobs
+   that miss both the memo and the cache. *)
+let content_key_of_job t j =
+  let img =
+    match Hashtbl.find_opt t.images (variant_key j) with
+    | Some i -> i
+    | None ->
+      let p = job_binary t j in
+      let i =
+        {
+          image_digest = Cache.digest_of (p.Wish_isa.Program.code, p.entry, p.mem_words);
+          wish_free = Wish_isa.Code.static_wish_branches p.code = 0;
+        }
+      in
+      Hashtbl.add t.images (variant_key j) i;
+      i
+  in
+  let config =
+    if img.wish_free then Wish_sim.Config.wish_free_canonical j.job_config else j.job_config
+  in
+  let base =
+    Printf.sprintf "%s|%s|scale%d|img%s|cfg%s" j.job_bench j.job_input t.scale img.image_digest
+      (Cache.digest_of config)
+  in
+  match t.sample with None -> base | Some s -> base ^ "|sample" ^ sampling_key s
 
 (** [run t ~bench ~kind ?input ?config ?wish_n ()] — memoized simulation. *)
 let run t ~bench ~kind ?input ?config ?wish_n () =
@@ -346,10 +436,16 @@ let run t ~bench ~kind ?input ?config ?wish_n () =
       t.log ("cache hit: summary " ^ describe_job j);
       Hashtbl.add t.results (memo_key j) s;
       s
-    | None ->
-      let program = job_program t j in
-      let pool = if t.sample_parallel then t.pool else None in
-      settle t j (leased t j (fun () -> simulate_with t ?pool ~config:j.job_config (program ()))))
+    | None -> (
+      let ck = content_key_of_job t j in
+      match Hashtbl.find_opt t.runs ck with
+      | Some (rep, s) -> settle_shared t ~rep j s
+      | None ->
+        let program = job_program t j in
+        let pool = if t.sample_parallel then t.pool else None in
+        let s = settle t j (leased t j (fun () -> simulate_with t ?pool ~config:j.job_config program)) in
+        Hashtbl.replace t.runs ck (describe_job j, s);
+        s))
 
 (* --------------------------------------------------------------- *)
 (* Batched (parallel, supervised) execution                         *)
@@ -369,6 +465,25 @@ let uniq key xs =
         true
       end)
     xs
+
+(* Order-preserving grouping: [(k, members)] in order of each key's
+   first appearance, members in list order. *)
+let group_by key xs =
+  let groups = Hashtbl.create 64 in
+  let keys =
+    List.filter_map
+      (fun x ->
+        let k = key x in
+        match Hashtbl.find_opt groups k with
+        | Some ms ->
+          Hashtbl.replace groups k (x :: ms);
+          None
+        | None ->
+          Hashtbl.add groups k [ x ];
+          Some k)
+      xs
+  in
+  List.map (fun k -> (k, List.rev (Hashtbl.find groups k))) keys
 
 (* Fan [f] over [xs] on the pool under [policy]: each item is attempted
    up to [1 + retries] times, failed rounds separated by exponential
@@ -456,10 +571,11 @@ let supervised_map t ~policy ~stage ~describe f xs =
     resolves every job (memo table, then disk cache, then
     compile/simulate fanned over the worker pool, each stage under
     the retry/timeout policy) and returns per-job outcomes in [jobs]
-    order. A simulate task stores its summary under its cache lease
-    before releasing it ({!Cache.store} is domain-safe); the memo
-    tables, counters and journal are only touched on the calling
-    domain. *)
+    order. Jobs that miss both are grouped by content key, and each
+    group is simulated once. A simulate task stores its summaries under
+    its cache lease before releasing it ({!Cache.store} is
+    domain-safe); the memo tables, counters and journal are only
+    touched on the calling domain. *)
 let run_batch_results ?(policy = default_policy) t jobs =
   check_stop t;
   (* Stage 1: compile missing binaries (one job per bench). A bench whose
@@ -507,30 +623,77 @@ let run_batch_results ?(policy = default_policy) t jobs =
         end)
       todo
   in
-  (* Stage 3: simulate, trace-free, each job under its cache lease; a
-     compile variant is compiled first, inside its task. [lab.trace] is
-     cut first, before the emulator starts, so fault schedules that arm
-     it stay valid; [lab.slow] sleeps inside the lease, like a slow
-     simulation. *)
   let failed_runs : (string * string * string * Wish_sim.Config.t, failure) Hashtbl.t =
     Hashtbl.create 4
   in
-  if todo <> [] then begin
-    let tasks = List.map (fun j -> (j, job_program t j)) todo in
-    List.iter2
-      (fun (j, _) -> function
-        | Ok out -> ignore (settle t j out)
-        | Error fl -> Hashtbl.replace failed_runs (memo_key j) fl)
-      tasks
-      (supervised_map t ~policy ~stage:"simulate" ~describe:(fun (j, _) -> describe_job j)
-         (fun (j, program) ->
-           Faultpoint.cut fp_trace;
-           Faultpoint.cut fp_simulate;
-           leased t j (fun () ->
-               if Faultpoint.fires fp_slow then Unix.sleepf (Faultpoint.delay_of fp_slow);
-               simulate_with t ~config:j.job_config (program ())))
-         tasks)
-  end;
+  let fail fl j = Hashtbl.replace failed_runs (memo_key j) fl in
+  (* Stage 3: compile the variants missed jobs name, one task per
+     binary, so their images can be compared before anything runs. A
+     failed variant poisons its jobs. *)
+  let variant_tasks =
+    List.map
+      (fun j -> (j, bench t j.job_bench, binaries t j.job_bench))
+      (uniq variant_key
+         (List.filter
+            (fun j -> j.job_wish_n <> None && not (Hashtbl.mem t.variants (variant_key j)))
+            todo))
+  in
+  let failed_variants = Hashtbl.create 4 in
+  List.iter2
+    (fun (j, _, _) -> function
+      | Ok p -> Hashtbl.replace t.variants (variant_key j) p
+      | Error fl -> Hashtbl.replace failed_variants (variant_key j) fl)
+    variant_tasks
+    (supervised_map t ~policy ~stage:"compile"
+       ~describe:(fun (j, _, _) -> j.job_bench ^ "/" ^ binary_name j)
+       (fun (j, b, bins) -> compile_variant b bins j (Option.get j.job_wish_n))
+       variant_tasks);
+  let todo =
+    List.filter
+      (fun j ->
+        match Hashtbl.find_opt failed_variants (variant_key j) with
+        | Some fl ->
+          fail fl j;
+          false
+        | None -> true)
+      todo
+  in
+  (* Stage 4: group by content key. A group whose program already ran
+     (in an earlier batch, say) settles at once; every other group is
+     simulated once, trace-free, by its first job under that job's
+     cache lease, and the rest share the summary. [lab.trace] is cut
+     first, before the emulator starts, so fault schedules that arm it
+     stay valid; [lab.slow] sleeps inside the lease, like a slow
+     simulation. *)
+  let groups =
+    List.filter_map
+      (fun (ck, members) ->
+        match Hashtbl.find_opt t.runs ck with
+        | Some (rep, s) ->
+          List.iter (fun m -> ignore (settle_shared t ~rep m s)) members;
+          None
+        | None -> Some (ck, List.hd members, List.tl members, job_program t (List.hd members)))
+      (group_by (content_key_of_job t) todo)
+  in
+  List.iter2
+    (fun (ck, rep, sharers, _) -> function
+      | Ok ((s, origin) as out) ->
+        ignore (settle t rep out);
+        let rep = describe_job rep in
+        Hashtbl.replace t.runs ck (rep, s);
+        let stored = origin = Cache.Computed in
+        List.iter (fun m -> ignore (settle_shared t ~rep ~stored m s)) sharers
+      | Error fl -> List.iter (fail fl) (rep :: sharers))
+    groups
+    (supervised_map t ~policy ~stage:"simulate"
+       ~describe:(fun (_, rep, _, _) -> describe_job rep)
+       (fun (_, rep, sharers, program) ->
+         Faultpoint.cut fp_trace;
+         Faultpoint.cut fp_simulate;
+         leased t ~sharers rep (fun () ->
+             if Faultpoint.fires fp_slow then Unix.sleepf (Faultpoint.delay_of fp_slow);
+             simulate_with t ~config:rep.job_config program))
+       groups);
   (* Assemble per-job outcomes, [jobs] order. *)
   List.map
     (fun j ->

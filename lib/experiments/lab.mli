@@ -21,7 +21,12 @@
     recomputation. A summary the cache misses is computed under its
     cache lease ({!Cache.single_flight}), so concurrent processes
     sharing a cache directory compute each summary once; the others
-    wait and read it back. There is no trace memo and no trace is ever
+    wait and read it back. Jobs that miss both memo and cache are
+    simulated once per {e content identity} ({!content_key_of_job}):
+    byte-identical binaries (BASE-DEF = normal on six benches, A4's
+    N=0/N=5 variants = wish-jj) under configs the program cannot tell
+    apart share one run, whose summary every member gets, stored under
+    its own unchanged key. There is no trace memo and no trace is ever
     materialized: exact runs stream emulation into the timing core
     ([Runner.simulate ~streaming:true]) and sampled runs warm trace-free
     inside the emulator ({!Wish_sim.Runner.simulate_sampled} without a
@@ -90,7 +95,10 @@ val shutdown : t -> unit
     machine-configuration digest in its summary's cache key; a job
     whose lease another process holds is announced as
     [waiting: <bench>/<binary> input <I> (leased by another process)]
-    and is not simulated if the holder stores its summary. *)
+    and is not simulated if the holder stores its summary; a job settled
+    from an identical program's run is announced, in place of a
+    [simulating] line, as [shared: <job> = <representative> (identical
+    program)], both named as in {!describe_job}. *)
 val set_logger : t -> (string -> unit) -> unit
 
 val benches : t -> Wish_workloads.Bench.t list
@@ -159,6 +167,9 @@ type batch_stats = {
   mutable resumed : int;  (** journaled jobs served from the cache *)
   mutable lease_waited : int;
       (** summaries found after waiting on another process's lease *)
+  mutable shared : int;
+      (** summaries settled from a run of an identical program (same
+          {!content_key_of_job}) instead of being simulated *)
 }
 
 val batch_stats : t -> batch_stats
@@ -181,9 +192,10 @@ val stop_requested : t -> bool
     the binary: [None] is the bench's standard [job_kind] binary from
     {!binaries}; [Some n] is [job_kind] recompiled with wish-jump
     threshold [n] ({!Wish_compiler.Policy.create} [~wish_threshold_n]),
-    from the same training profile. A variant is compiled inside its
-    simulate task, so it is memoized, cached, journaled, pooled and
-    supervised like any other job. *)
+    from the same training profile. A batch compiles the variants its
+    missed jobs name as supervised tasks before grouping them by
+    {!content_key_of_job}; a variant is then memoized, cached,
+    journaled, pooled and supervised like any other job. *)
 type job = {
   job_bench : string;
   job_kind : Wish_compiler.Policy.kind;
@@ -221,6 +233,18 @@ val with_baselines : job list -> job list
     under, so concurrent processes deduplicate in-flight jobs on it. *)
 val summary_key_of_job : t -> job -> string
 
+(** [content_key_of_job t j] — the content identity of [j]'s run, used
+    only to avoid simulating one program twice: bench, input, scale,
+    sampling mode, a digest of the program image (code, entry,
+    [mem_words]; the input data is fixed by bench, input and scale), and
+    the config digest, with {!Wish_sim.Config.wish_free_canonical}
+    applied first when the program has no wish branch. Jobs with equal
+    content keys have equal summaries: BASE-DEF is often the normal
+    binary byte for byte, and A4's N=0/N=5 variants compile to wish-jj.
+    Compiles [j]'s binaries (or its variant) if they are missing; the
+    image digest is memoized per (bench, binary). *)
+val content_key_of_job : t -> job -> string
+
 (** [describe_job j] — [<bench>/<binary> input <I>], the binary named as
     in {!summary_key_of_job} (e.g. [gzip/wish-jump-join.n5 input A]). *)
 val describe_job : job -> string
@@ -228,9 +252,15 @@ val describe_job : job -> string
 (** [run_batch_results ?policy t jobs] — the supervised parallel twin of
     {!run}: resolves every job (memo table, then disk cache, then
     compile/simulate fanned over the worker pool, each stage under
-    [policy]) and returns per-job outcomes in [jobs] order. A failure in
-    one stage poisons exactly the jobs that needed its product (a failed
-    compile fails that bench's jobs).
+    [policy]) and returns per-job outcomes in [jobs] order. The jobs
+    that miss both memo and cache are grouped by {!content_key_of_job}:
+    a group whose content key already ran in this lab settles at once,
+    and every other group is simulated once, by its first job in [jobs]
+    order under that job's lease; each member is memoized, stored under
+    its own {!summary_key_of_job} and journaled. A failure in one stage
+    poisons exactly the jobs that needed its product (a failed compile
+    fails that bench's jobs; a group's failed simulation fails every
+    member).
     Under the default fail-fast policy a permanent failure raises
     {!Job_failed} instead of being returned. *)
 val run_batch_results :

@@ -74,6 +74,20 @@ let with_pipeline_stages t n =
 
 let with_rob t n = { t with rob_size = n }
 
+(* Every read of these fields that can change a result sits behind a
+   wish-kind test (is_wish_hw, a wish_kind field, or a Wish_loop match)
+   in Core, Compiled and the sampler; the flush-time loop-predictor
+   squash only touches wish-loop entries, which such a program never
+   creates. So a program with no wish branch cannot tell them apart. *)
+let wish_free_canonical t =
+  {
+    t with
+    conf = default.conf;
+    use_loop_predictor = default.use_loop_predictor;
+    wish_hardware = default.wish_hardware;
+    knobs = { t.knobs with perfect_conf = default.knobs.perfect_conf };
+  }
+
 let pp_mech ppf = function
   | C_style -> Fmt.string ppf "c-style"
   | Select_uop -> Fmt.string ppf "select-uop"

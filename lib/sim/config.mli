@@ -52,4 +52,12 @@ val default : t
 val with_pipeline_stages : t -> int -> t
 
 val with_rob : t -> int -> t
+
+(** [wish_free_canonical t] — [t] with the fields a program without wish
+    branches cannot observe reset to {!default}'s: [conf],
+    [use_loop_predictor], [wish_hardware] and [knobs.perfect_conf]. Both
+    timing cores and the sampler read them only for wish-kind branches,
+    so such a program's run under [t] equals its run under the result. *)
+val wish_free_canonical : t -> t
+
 val pp_mech : Format.formatter -> predication_mechanism -> unit

@@ -32,12 +32,11 @@ type t = {
   mutable respawned : int;
 }
 
-let default_size () = Domain.recommended_domain_count ()
-let auto_size () = max 1 (Domain.recommended_domain_count () - 1)
+let default_size () = max 1 (Domain.recommended_domain_count ())
 
 let jobs_of_string s =
   match s with
-  | "auto" -> Ok (auto_size ())
+  | "auto" -> Ok (default_size ())
   | _ -> (
     match int_of_string_opt s with
     | Some n -> Ok (max 1 n)

@@ -1,11 +1,13 @@
 (** Fixed-size supervised domain worker pool (OCaml 5 [Domain] +
     [Mutex] + [Condition], no dependencies).
 
-    The pool owns [size - 1 |> max 0] worker domains pulling tasks from a
+    A pool of size [n > 1] owns [n] worker domains pulling tasks from a
     shared queue; {!map} fans a list of independent jobs across them and
     returns the results in submission order, so callers see deterministic
-    output regardless of scheduling. A pool of size 1 spawns no domains
-    and degenerates to [List.map] on the calling domain.
+    output regardless of scheduling. The coordinating domain only blocks
+    while a batch runs, so it needs no hardware thread of its own. A pool
+    of size 1 spawns no domains and degenerates to [List.map] on the
+    calling domain.
 
     The pool is {e supervised}: a worker domain that dies after claiming
     a task (the [pool.worker] faultpoint simulates this in chaos tests)
@@ -20,15 +22,12 @@
 
 type t
 
-(** [Domain.recommended_domain_count ()] — the default pool size. *)
+(** [Domain.recommended_domain_count ()], clamped to [>= 1] — the
+    default pool size and what [--jobs auto] means in [experiments],
+    [wishsim] and [wishfuzz]. *)
 val default_size : unit -> int
 
-(** The [--jobs auto] resolution rule, shared by every driver:
-    [Domain.recommended_domain_count () - 1] (one hardware thread left
-    for the coordinating domain), clamped to [>= 1]. *)
-val auto_size : unit -> int
-
-(** Parse a [--jobs] argument: ["auto"] resolves via {!auto_size}; an
+(** Parse a [--jobs] argument: ["auto"] resolves via {!default_size}; an
     integer is clamped to [>= 1]; anything else is an [Error]. *)
 val jobs_of_string : string -> (int, string) result
 

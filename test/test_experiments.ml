@@ -194,6 +194,34 @@ let test_cache_prune_retired () =
   Alcotest.(check bool) "retired kind directory removed" false
     (Sys.file_exists (Filename.concat dir "trace"))
 
+let test_digest_ignores_sharing () =
+  (* Keys must depend on a value's structure only: a deep copy (which
+     drops physical sharing) and a config rebuilt field by field digest
+     equal to the original. *)
+  let copy v = Marshal.from_string (Marshal.to_string v [ Marshal.No_sharing ]) 0 in
+  let d = Config.default in
+  let rebuilt =
+    {
+      d with
+      Config.knobs =
+        { Config.perfect_bp = false; perfect_conf = false; no_depend = false; no_fetch = false };
+      bpred = copy d.bpred;
+      hier = copy d.hier;
+      conf = copy d.conf;
+    }
+  in
+  Alcotest.(check bool) "rebuilt config is equal" true (rebuilt = d);
+  check Alcotest.string "config and its deep copy" (Cache.digest_of d) (Cache.digest_of (copy d));
+  check Alcotest.string "config built two ways" (Cache.digest_of d) (Cache.digest_of rebuilt);
+  let lab = Lab.create ~scale:1 ~names:[ "gzip" ] () in
+  List.iter
+    (fun kind ->
+      let code = (Lab.program lab ~bench:"gzip" ~kind ~input:Lab.eval_input).code in
+      check Alcotest.string
+        (Policy.kind_name kind ^ " code image and its copy")
+        (Cache.digest_of code) (Cache.digest_of (copy code)))
+    Wish_compiler.Compiler.all_kinds
+
 (* ------------------------------------------------------------------ *)
 (* Trace-free lab                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -426,6 +454,193 @@ let test_a4_under_faults () =
   check Alcotest.int "each faulted variant was retried" 3 st.retried;
   check Alcotest.int "nothing failed" 0 st.failed
 
+(* ------------------------------------------------------------------ *)
+(* Shared runs: one simulation per distinct program                    *)
+(* ------------------------------------------------------------------ *)
+
+module Faultpoint = Wish_util.Faultpoint
+
+let shared_names = [ "gzip"; "mcf"; "vortex"; "twolf" ]
+let distinct xs = List.length (List.sort_uniq compare xs)
+
+(* Order-preserving dedup. *)
+let uniq_by key xs =
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun x ->
+      let k = key x in
+      (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true))
+    xs
+
+(* The full-fidelity comparison plus the memory hierarchy's counters. *)
+let full_repr (s : Runner.summary) =
+  let m = s.mem in
+  Printf.sprintf "%s mem=%d/%d/%d/%d/%d/%d" (summary_repr s) m.l1i_accesses m.l1i_misses
+    m.l1d_accesses m.l1d_misses m.l2_accesses m.l2_misses
+
+let test_shared_runs_match_direct () =
+  (* fig10 then fig12, as `experiments` prewarms them, into a cold cache:
+     every job's summary must be the one a direct simulation of its own
+     program and config yields, and each distinct program runs once. *)
+  let dir = cache_dir ^ "_shared" in
+  rm_rf dir;
+  let figures = [ "fig10"; "fig12" ] in
+  let with_lab f =
+    let lab = Lab.create ~scale:1 ~names:shared_names ~jobs:2 ~cache:(Cache.create ~dir ()) () in
+    Fun.protect ~finally:(fun () -> Lab.shutdown lab) @@ fun () ->
+    let log = ref [] in
+    Lab.set_logger lab (fun s -> log := s :: !log);
+    List.iter (fun fig -> Lab.prewarm lab (Figures.jobs_for fig lab)) figures;
+    f lab (List.rev !log)
+  in
+  let jobs lab =
+    List.sort_uniq compare
+      (List.concat_map (fun fig -> Lab.with_baselines (Figures.jobs_for fig lab)) figures)
+  in
+  with_lab (fun lab log ->
+      let jobs = jobs lab in
+      let programs = distinct (List.map (Lab.content_key_of_job lab) jobs) in
+      let st = Lab.batch_stats lab in
+      Alcotest.(check bool) "some jobs share a program" true (programs < List.length jobs);
+      check Alcotest.int "one simulating line per distinct program" programs
+        (List.length (List.filter (prefixed "simulating") log));
+      check Alcotest.int "simulate tasks = distinct programs (plus 4 compiles)"
+        (programs + List.length shared_names) st.executed;
+      check Alcotest.int "every other job shared a run" (List.length jobs - programs) st.shared;
+      check Alcotest.int "one shared line per sharing job" st.shared
+        (List.length (List.filter (prefixed "shared: ") log));
+      List.iter2
+        (fun (j : Lab.job) s ->
+          let p = Lab.program lab ~bench:j.job_bench ~kind:j.job_kind ~input:j.job_input in
+          check Alcotest.string
+            (Lab.describe_job j ^ " = its own direct simulation")
+            (full_repr (Runner.simulate ~config:j.job_config p))
+            (full_repr s))
+        jobs (Lab.run_batch lab jobs));
+  (* Every member was stored under its own key: a second lab simulates
+     nothing. *)
+  with_lab (fun lab log ->
+      Alcotest.(check (list string)) "warm lab simulates nothing" []
+        (List.filter (fun l -> prefixed "simulating" l || prefixed "shared" l) log);
+      check Alcotest.int "every job is a cache hit" (List.length (jobs lab))
+        (Lab.batch_stats lab).cache_hits)
+
+(* The fields [Config.wish_free_canonical] resets, each set away from
+   its default. *)
+let wish_field_variants =
+  let d = Config.default in
+  [
+    ("conf", { d with conf = { d.conf with Wish_bpred.Confidence.threshold = 4 } });
+    ("use_loop_predictor", { d with use_loop_predictor = false });
+    ("wish_hardware", { d with wish_hardware = false });
+    ("perfect_conf", { d with knobs = { d.knobs with perfect_conf = true } });
+  ]
+
+let test_canonical_config_unobservable () =
+  (* Each reset field, varied alone, must leave every wish-free binary's
+     summary unchanged on both timing cores, exact and Sample_auto; and
+     the content key must not see it. The reference is the compiled
+     core's default-config run; the runs fan over two domains. *)
+  let lab = Lab.create ~scale:1 () in
+  List.iter
+    (fun (field, config) ->
+      check Alcotest.bool (field ^ " is reset") true
+        (Config.wish_free_canonical config = Config.wish_free_canonical Config.default))
+    wish_field_variants;
+  let programs =
+    List.concat_map
+      (fun bench ->
+        List.filter_map
+          (fun kind ->
+            let p = Lab.program lab ~bench ~kind ~input:Lab.eval_input in
+            if Wish_isa.Code.static_wish_branches p.code > 0 then None else Some (bench, kind, p))
+          Compiler.all_kinds
+        |> uniq_by (fun (_, _, (p : Wish_isa.Program.t)) -> Cache.digest_of p.code))
+      (Lab.bench_names lab)
+  in
+  check Alcotest.int "wish-free programs" 20 (List.length programs);
+  List.iter
+    (fun (bench, kind, _) ->
+      let key config = Lab.content_key_of_job lab (Lab.job ~bench ~kind ~config ()) in
+      List.iter
+        (fun (field, config) ->
+          check Alcotest.string
+            (Printf.sprintf "%s/%s content key, %s varied" bench (Policy.kind_name kind) field)
+            (key Config.default) (key config))
+        wish_field_variants)
+    programs;
+  let modes =
+    [
+      ("exact", fun config p -> Runner.simulate ~config ~streaming:true p);
+      ("Sample_auto", fun config p -> fst (Runner.simulate_sampled ~config p));
+    ]
+  in
+  let cases =
+    List.concat_map
+      (fun (bench, kind, p) ->
+        List.map (fun (mode, sim) -> (Printf.sprintf "%s/%s %s" bench (Policy.kind_name kind) mode, sim, p)) modes)
+      programs
+  in
+  let pool = Wish_util.Pool.create ~size:2 () in
+  Fun.protect ~finally:(fun () ->
+      Wish_sim.Core.use_compiled := true;
+      Wish_util.Pool.shutdown pool)
+  @@ fun () ->
+  let runs configs =
+    Wish_util.Pool.map pool
+      (fun (_, sim, p) -> List.map (fun config -> full_repr (sim config p)) configs)
+      cases
+  in
+  let variants = List.map snd wish_field_variants in
+  let reference = runs [ Config.default ] in
+  List.iter
+    (fun compiled ->
+      Wish_sim.Core.use_compiled := compiled;
+      List.iter2
+        (fun ((what, _, _), reference) varied ->
+          List.iter2
+            (fun (field, _) v ->
+              check Alcotest.string
+                (Printf.sprintf "%s %s core, %s varied" what
+                   (if compiled then "compiled" else "interpreted") field)
+                (List.hd reference) v)
+            wish_field_variants varied)
+        (List.combine cases reference) (runs variants))
+    [ true; false ]
+
+let test_shared_faults () =
+  (* gzip's BASE-DEF binary is its normal binary byte for byte. *)
+  let jobs = [ Lab.job ~bench:"gzip" ~kind:Policy.Normal (); Lab.job ~bench:"gzip" ~kind:Policy.Base_def () ] in
+  let clean = Lab.create ~scale:1 ~names:[ "gzip" ] () in
+  check Alcotest.int "one program" 1 (distinct (List.map (Lab.content_key_of_job clean) jobs));
+  let expected = List.map full_repr (Lab.run_batch clean jobs) in
+  let faulty times policy =
+    let lab = Lab.create ~scale:1 ~names:[ "gzip" ] () in
+    Fun.protect ~finally:Faultpoint.reset @@ fun () ->
+    Faultpoint.arm "lab.simulate" ~times;
+    let out = Lab.run_batch_results ~policy lab jobs in
+    (out, Faultpoint.injected "lab.simulate", Lab.batch_stats lab)
+  in
+  (* A faulted representative is retried; both jobs get its run. *)
+  let out, injected, st = faulty 1 { Lab.default_policy with backoff = 0.0 } in
+  check Alcotest.int "the fault fired" 1 injected;
+  check Alcotest.int "the representative was retried" 1 st.retried;
+  check Alcotest.int "the other job shared its run" 1 st.shared;
+  check
+    Alcotest.(list string)
+    "summaries as fault-free" expected
+    (List.map (function Ok s -> full_repr s | Error _ -> "failed") out);
+  (* Exhausted retries fail every member, under keep_going. *)
+  let out, _, st = faulty 3 { Lab.default_policy with backoff = 0.0; keep_going = true } in
+  check Alcotest.int "one task failed" 1 st.failed;
+  check Alcotest.int "nothing shared" 0 st.shared;
+  List.iter2
+    (fun (j : Lab.job) o ->
+      match o with
+      | Error (fl : Lab.failure) -> check Alcotest.string (Lab.describe_job j ^ " failed") "simulate" fl.failed_stage
+      | Ok _ -> Alcotest.fail (Lab.describe_job j ^ " should have failed"))
+    jobs out
+
 let () =
   Alcotest.run "wish_experiments"
     [
@@ -441,6 +656,7 @@ let () =
           Alcotest.test_case "round-trip fidelity" `Slow test_cache_roundtrip;
           Alcotest.test_case "version invalidation" `Quick test_cache_version_invalidation;
           Alcotest.test_case "prune evicts retired kinds" `Quick test_cache_prune_retired;
+          Alcotest.test_case "digest ignores sharing" `Quick test_digest_ignores_sharing;
         ] );
       ( "direction",
         [
@@ -468,5 +684,11 @@ let () =
           Alcotest.test_case "keys" `Quick test_variant_keys;
           Alcotest.test_case "A4 cached and pooled" `Slow test_a4_table_cached_and_pooled;
           Alcotest.test_case "A4 under faults" `Slow test_a4_under_faults;
+        ] );
+      ( "shared runs",
+        [
+          Alcotest.test_case "fig10+fig12 = direct simulations" `Slow test_shared_runs_match_direct;
+          Alcotest.test_case "canonical config unobservable" `Slow test_canonical_config_unobservable;
+          Alcotest.test_case "faults on a representative" `Slow test_shared_faults;
         ] );
     ]

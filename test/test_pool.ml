@@ -74,6 +74,19 @@ let test_map_after_shutdown_degrades () =
   (* idempotent *)
   check Alcotest.(list int) "serial fallback" [ 1; 4; 9 ] (Pool.map p (fun x -> x * x) [ 1; 2; 3 ])
 
+(* [--jobs auto] must use every recommended domain: the coordinator
+   only blocks while a batch runs, so keeping a hardware thread back for
+   it left one core idle (a serial run on two cores). *)
+let test_jobs_auto () =
+  check
+    Alcotest.(result int string)
+    "auto = recommended domain count"
+    (Ok (max 1 (Domain.recommended_domain_count ())))
+    (Pool.jobs_of_string "auto");
+  check Alcotest.(result int string) "integer" (Ok 3) (Pool.jobs_of_string "3");
+  check Alcotest.(result int string) "clamped to 1" (Ok 1) (Pool.jobs_of_string "0");
+  Alcotest.(check bool) "junk is an error" true (Result.is_error (Pool.jobs_of_string "many"))
+
 let () =
   Alcotest.run "wish_pool"
     [
@@ -85,5 +98,6 @@ let () =
           Alcotest.test_case "first exception wins" `Quick test_first_exception_wins;
           Alcotest.test_case "empty + reuse" `Quick test_empty_and_reuse;
           Alcotest.test_case "shutdown degrades to serial" `Quick test_map_after_shutdown_degrades;
+          Alcotest.test_case "jobs auto" `Quick test_jobs_auto;
         ] );
     ]
