@@ -3,8 +3,8 @@
 
    - identity: interpreted and compiled execution produce the same
      per-step fact stream (checksummed) and outcome in both modes, and
-     [Trace.generate] yields word-identical traces with the compiled
-     refill and with [Trace.use_interpreter] forced;
+     every [Trace.generate] entry equals the step a direct
+     [Exec.step_into] predicate-through run retires at that index;
    - speedup: the compiled path beats the allocating interpreted loop by
      a conservative floor (best of 3 CPU-time trials — the real margin
      is measured by emuloop.exe; this only catches the optimization
@@ -66,24 +66,23 @@ let check_identity mode tag =
   if ri <> rc then fail "%s: compiled run differs from interpreted" tag
 
 let check_trace_identity () =
-  let with_interp v f =
-    let saved = !Trace.use_interpreter in
-    Trace.use_interpreter := v;
-    Fun.protect ~finally:(fun () -> Trace.use_interpreter := saved) f
-  in
-  let tc, sc = with_interp false (fun () -> Trace.generate program) in
-  let ti, si = with_interp true (fun () -> Trace.generate program) in
-  if State.outcome sc <> State.outcome si then fail "trace outcomes differ";
-  if Trace.length tc <> Trace.length ti then fail "trace lengths differ";
-  for i = 0 to Trace.length tc - 1 do
+  let code = Wish_isa.Program.code program in
+  let trace, final = Trace.generate program in
+  let st = State.create program in
+  let o = Exec.make_out () in
+  for i = 0 to Trace.length trace - 1 do
+    if st.halted then fail "interpreter halted after %d steps, trace is longer" i;
+    Exec.step_into Exec.Predicate_through code st o;
     if
-      Trace.pc tc i <> Trace.pc ti i
-      || Trace.next_pc tc i <> Trace.next_pc ti i
-      || Trace.addr tc i <> Trace.addr ti i
-      || Trace.guard_true tc i <> Trace.guard_true ti i
-      || Trace.taken tc i <> Trace.taken ti i
-    then fail "trace entry %d differs between compiled and interpreted refill" i
-  done
+      Trace.pc trace i <> o.o_pc
+      || Trace.next_pc trace i <> o.o_next_pc
+      || Trace.addr trace i <> o.o_addr
+      || Trace.guard_true trace i <> o.o_guard_true
+      || Trace.taken trace i <> o.o_taken
+    then fail "trace entry %d differs from the interpreter's step" i
+  done;
+  if not st.halted then fail "interpreter runs past the trace's %d entries" (Trace.length trace);
+  if State.outcome st <> State.outcome final then fail "trace outcome differs from the interpreter's"
 
 let time_best_of ~trials f =
   ignore (f ());

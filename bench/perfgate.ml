@@ -23,7 +23,6 @@
 
 module J = Wish_util.Perf_json
 module Gc_stats = Wish_util.Gc_stats
-module Core = Wish_sim.Core
 module Runner = Wish_sim.Runner
 module Exec = Wish_emu.Exec
 module State = Wish_emu.State
@@ -88,7 +87,6 @@ let sim_cases = [ ("gzip", Policy.Wish_jjl); ("mcf", Policy.Base_max) ]
 let gate_sim ~tol ~iters json =
   let scale = scale_of json ~default:1 in
   let config = Wish_sim.Config.default in
-  Core.use_compiled := true;
   List.iter
     (fun (name, kind) ->
       let case = Printf.sprintf "%s_%s" name (Policy.kind_name kind) in
@@ -183,7 +181,6 @@ let gate_sample ~tol ~iters json =
    a mean over hundreds of runs; best-of here biases the fresh reading
    low, which the tolerance band absorbs. *)
 let gate_hotloop ~tol ~iters json =
-  Core.use_compiled := true;
   List.iter
     (fun (case, config, wish) ->
       match baseline_of json ~file:"BENCH_hotloop.json" ~case ~field:"ns_per_run" with

@@ -6,8 +6,8 @@
      count, the same full stats bag (names, values and insertion order)
      and the same memory-hierarchy counters — including a repeated
      compiled run, which exercises the pooled-scaffold reset path;
-   - speedup: the compiled whole-pipeline path (simulate with pooled
-     state) beats the interpreted one by a conservative floor (best of 3
+   - speedup: the compiled core (with its pooled state) beats the
+     interpreted one over the same trace by a conservative floor (best of 3
      CPU-time trials — the real margin is measured by simloop.exe; this
      only catches the optimization being silently disabled or regressed).
 
@@ -15,7 +15,6 @@
 
 module Core = Wish_sim.Core
 module Compiled = Wish_sim.Compiled
-module Runner = Wish_sim.Runner
 module Stats = Wish_util.Stats
 
 let min_speedup = 1.3
@@ -83,22 +82,11 @@ let check_speedup () =
   let program = program_for "gzip" Wish_compiler.Policy.Wish_jjl in
   let trace, _final = Wish_emu.Trace.generate program in
   let config = Wish_sim.Config.default in
-  let with_compiled v f =
-    let saved = !Core.use_compiled in
-    Core.use_compiled := v;
-    Fun.protect ~finally:(fun () -> Core.use_compiled := saved) f
-  in
   (* One warm-up run per path (plan compilation, pool growth). *)
   ignore (run_compiled config program trace);
   ignore (run_interp config program trace);
-  let tc =
-    time_best (fun () ->
-        with_compiled true (fun () -> ignore (Runner.simulate ~config ~trace program)))
-  in
-  let ti =
-    time_best (fun () ->
-        with_compiled false (fun () -> ignore (Runner.simulate ~config ~trace program)))
-  in
+  let tc = time_best (fun () -> ignore (run_compiled config program trace)) in
+  let ti = time_best (fun () -> ignore (run_interp config program trace)) in
   let speedup = ti /. tc in
   Printf.printf "sim-smoke: interp %.4fs compiled %.4fs speedup %.2fx\n%!" ti tc speedup;
   if speedup < min_speedup then

@@ -2,15 +2,16 @@
    matrix — every workload crossed with every binary kind — simulated
    through both cores,
 
-     interp     the interpreted reference ({!Wish_sim.Core}, --sim-interp)
+     interp     the interpreted reference ({!Wish_sim.Core})
      compiled   the per-pc-template core ({!Wish_sim.Compiled})
 
    under the default detailed configuration. Each case first runs an
    untimed identity gate (cycle count, the full stats bag, the memory
    hierarchy counters, and a pooled compiled re-run must all agree); the
-   timed region then measures whole runs of [Runner.simulate] over a
-   pre-generated trace — the exact unit of work the figure pipeline
-   schedules — interleaved round-robin so scheduler noise on a shared box
+   timed region then measures whole runs over a pre-generated trace —
+   [Core.create] + [Core.run] for the reference, [Runner.simulate] (the
+   exact unit of work the figure pipeline schedules) for the compiled
+   core — interleaved round-robin so scheduler noise on a shared box
    taxes both paths alike, taking each path's best (minimum) segment.
    Reports ns/run and GC pressure per path and case, the per-case speedup,
    and matrix-level aggregates (min/geomean speedup, total matrix time,
@@ -37,11 +38,6 @@ let program_for ~scale name kind =
       ~profile_data:(Wish_workloads.Bench.profile_data bench) bench.ast
   in
   Wish_workloads.Bench.program_for bench (Wish_compiler.Compiler.binary bins kind) "A"
-
-let with_compiled v f =
-  let saved = !Core.use_compiled in
-  Core.use_compiled := v;
-  Fun.protect ~finally:(fun () -> Core.use_compiled := saved) f
 
 (* ----------------------------------------------------------------- *)
 (* Identity gate                                                      *)
@@ -88,7 +84,12 @@ let cycles = 6
    per-path (best ns/run, mean minor words/run) for
    [| interp; compiled |]. *)
 let time_case ~config ~program ~trace ~rounds =
-  let paths = [| false; true |] in
+  let paths =
+    [|
+      (fun () -> ignore (run_interp config program trace));
+      (fun () -> ignore (Runner.simulate ~config ~trace program));
+    |]
+  in
   let batch = max 1 ((rounds + cycles - 1) / cycles) in
   let n = Array.length paths in
   let best = Array.make n infinity
@@ -96,20 +97,20 @@ let time_case ~config ~program ~trace ~rounds =
   and done_ = Array.make n 0 in
   for _ = 1 to cycles do
     Array.iteri
-      (fun j use ->
+      (fun j run ->
         let b = min batch (rounds - done_.(j)) in
-        if b > 0 then
-          with_compiled use (fun () ->
-              let g0 = Gc_stats.snapshot () in
-              let t0 = Sys.time () in
-              for _ = 1 to b do
-                ignore (Runner.simulate ~config ~trace program)
-              done;
-              let seg = Sys.time () -. t0 in
-              best.(j) <- min best.(j) (1e9 *. seg /. float_of_int b);
-              minor.(j) <-
-                minor.(j) +. (Gc_stats.diff g0 (Gc_stats.snapshot ())).Gc_stats.minor_words;
-              done_.(j) <- done_.(j) + b))
+        if b > 0 then begin
+          let g0 = Gc_stats.snapshot () in
+          let t0 = Sys.time () in
+          for _ = 1 to b do
+            run ()
+          done;
+          let seg = Sys.time () -. t0 in
+          best.(j) <- min best.(j) (1e9 *. seg /. float_of_int b);
+          minor.(j) <-
+            minor.(j) +. (Gc_stats.diff g0 (Gc_stats.snapshot ())).Gc_stats.minor_words;
+          done_.(j) <- done_.(j) + b
+        end)
       paths
   done;
   Array.init n (fun j -> (best.(j), minor.(j) /. float_of_int done_.(j)))

@@ -17,12 +17,10 @@ module Figures = Wish_experiments.Figures
 module Ablations = Wish_experiments.Ablations
 module Cache = Wish_experiments.Cache
 
-let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune emu_interp timeout retries
-    keep_going resume sample sample_parallel warm_trace =
+let run names scale verbose benchmarks csv_dir jobs no_cache gc_tune timeout retries keep_going
+    resume sample sample_parallel =
   Wish_util.Faultpoint.arm_from_env ();
   if gc_tune then Wish_util.Gc_stats.tune ();
-  Wish_emu.Trace.use_interpreter := emu_interp;
-  Wish_sim.Sampler.use_fused := not warm_trace;
   let jobs =
     match Wish_util.Pool.jobs_of_string jobs with
     | Ok n -> n
@@ -259,12 +257,6 @@ let run_term =
     Arg.(value & flag
          & info [ "gc-tune" ] ~doc:"Size the OCaml minor heap for long simulation runs")
   in
-  let emu_interp =
-    Arg.(value & flag
-         & info [ "emu-interp" ]
-             ~doc:"Generate traces with the interpreted emulator instead of the compiled \
-                   one (A/B lever; outputs are identical, only slower)")
-  in
   let timeout =
     Arg.(value & opt (some float) None
          & info [ "timeout" ]
@@ -296,17 +288,9 @@ let run_term =
              ~doc:"With --sample: fan each sampled run's measurement windows across the worker \
                    domains (serial runs only; batched jobs already use the pool)")
   in
-  let warm_trace =
-    Arg.(value & flag
-         & info [ "warm-trace" ]
-             ~doc:"Warm sampled runs through the trace-based reference loop instead of \
-                   the warming hooks fused into the compiled emulator (A/B lever; \
-                   estimates are bit-identical, only slower)")
-  in
   Term.(
     const run $ names $ scale $ verbose $ benchmarks $ csv_dir $ jobs $ no_cache $ gc_tune
-    $ emu_interp $ timeout $ retries $ keep_going $ resume $ sample $ sample_parallel
-    $ warm_trace)
+    $ timeout $ retries $ keep_going $ resume $ sample $ sample_parallel)
 
 let cmd =
   Cmd.v (Cmd.info "experiments" ~doc:"Regenerate the wish-branches paper's tables and figures")

@@ -8,8 +8,7 @@ open Cmdliner
 module Lab = Wish_experiments.Lab
 
 let run bench_name kind_name input scale asm_file rob stages mech_select wish_hw perfect_bp
-    perfect_conf no_depend no_fetch streaming sample sample_parallel warm_trace jobs gc_tune
-    emu_interp sim_interp show_stats show_code =
+    perfect_conf no_depend no_fetch sample sample_parallel jobs gc_tune show_stats show_code =
   Wish_util.Faultpoint.arm_from_env ();
   let jobs =
     match Wish_util.Pool.jobs_of_string jobs with
@@ -19,9 +18,6 @@ let run bench_name kind_name input scale asm_file rob stages mech_select wish_hw
       exit 2
   in
   if gc_tune then Wish_util.Gc_stats.tune ();
-  Wish_emu.Trace.use_interpreter := emu_interp;
-  Wish_sim.Core.use_compiled := not sim_interp;
-  Wish_sim.Sampler.use_fused := not warm_trace;
   let sample_spec =
     (* [None]: exact. [Some None]: sampled, auto spec. [Some (Some s)]:
        sampled with an explicit W:D spec. *)
@@ -79,21 +75,18 @@ let run bench_name kind_name input scale asm_file rob stages mech_select wish_hw
           knobs = { perfect_bp; perfect_conf; no_depend; no_fetch };
         }
       in
-      let trace = if streaming then Some (Wish_emu.Trace.stream program) else None in
+      (* Exact runs stream their trace (bounded residency at any scale);
+         sampled runs warm trace-free inside the emulator. *)
+      let trace = if sample_spec = None then Some (Wish_emu.Trace.stream program) else None in
       let s, report =
         match sample_spec with
-        | None -> (Wish_sim.Runner.simulate ~config ~streaming ?trace program, None)
+        | None -> (Wish_sim.Runner.simulate ~config ?trace program, None)
         | Some spec ->
-          let pool =
-            if sample_parallel && not streaming then Some (Wish_util.Pool.create ~size:jobs ())
-            else None
-          in
+          let pool = if sample_parallel then Some (Wish_util.Pool.create ~size:jobs ()) else None in
           Fun.protect
             ~finally:(fun () -> Option.iter Wish_util.Pool.shutdown pool)
             (fun () ->
-              let s, r =
-                Wish_sim.Runner.simulate_sampled ?pool ?spec ~config ~streaming ?trace program
-              in
+              let s, r = Wish_sim.Runner.simulate_sampled ?pool ?spec ~config program in
               (s, Some r))
       in
       Fmt.pr "workload      %s (input %s, scale %d)@." bench_label input scale;
@@ -154,11 +147,6 @@ let cmd =
   let pcf = Arg.(value & flag & info [ "perfect-conf" ] ~doc:"Oracle confidence estimation") in
   let nd = Arg.(value & flag & info [ "no-depend" ] ~doc:"Remove predicate data dependencies (oracle)") in
   let nf = Arg.(value & flag & info [ "no-fetch" ] ~doc:"Drop false-predicated uops at fetch (oracle)") in
-  let streaming =
-    Arg.(value & flag
-         & info [ "stream" ]
-             ~doc:"Fuse emulation into simulation through a bounded-memory streaming trace")
-  in
   let sample =
     Arg.(value & opt (some string) None
          & info [ "sample" ]
@@ -169,14 +157,7 @@ let cmd =
     Arg.(value & flag
          & info [ "sample-parallel" ]
              ~doc:"Fan the sampled run's measurement windows across worker domains \
-                   (requires --sample; ignored with --stream)")
-  in
-  let warm_trace =
-    Arg.(value & flag
-         & info [ "warm-trace" ]
-             ~doc:"Warm sampled runs through the trace-based reference loop instead of \
-                   the warming hooks fused into the compiled emulator (A/B lever; \
-                   estimates are bit-identical, only slower)")
+                   (requires --sample)")
   in
   let jobs =
     Arg.(value & opt string "auto"
@@ -188,25 +169,12 @@ let cmd =
     Arg.(value & flag
          & info [ "gc-tune" ] ~doc:"Size the OCaml minor heap for long simulation runs")
   in
-  let emu_interp =
-    Arg.(value & flag
-         & info [ "emu-interp" ]
-             ~doc:"Generate traces with the interpreted emulator instead of the compiled \
-                   one (A/B lever; outputs are identical, only slower)")
-  in
-  let sim_interp =
-    Arg.(value & flag
-         & info [ "sim-interp" ]
-             ~doc:"Run the interpreted timing core instead of the compiled per-pc-template \
-                   one (A/B lever; results are cycle- and stat-identical, only slower)")
-  in
   let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Dump raw statistics counters") in
   let code = Arg.(value & flag & info [ "code" ] ~doc:"Print the binary's code listing") in
   Cmd.v
     (Cmd.info "wishsim" ~doc:"Cycle-level simulation of wish-branch binaries")
     Term.(
       const run $ bench $ kind $ input $ scale $ asm_file $ rob $ stages $ mech $ wish_hw $ pbp
-      $ pcf $ nd $ nf $ streaming $ sample $ sample_parallel $ warm_trace $ jobs $ gc_tune
-      $ emu_interp $ sim_interp $ stats $ code)
+      $ pcf $ nd $ nf $ sample $ sample_parallel $ jobs $ gc_tune $ stats $ code)
 
 let () = exit (Cmd.eval cmd)

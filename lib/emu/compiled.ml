@@ -17,9 +17,13 @@
       {!Exec.out} record, reused across steps: the hot loop allocates
       nothing.
 
-    The interpreted {!Exec.step} remains the golden reference; the
-    [@emu-identity] test group and the [@emu-smoke] bench assert that this
-    module is observably equivalent, step for step and trace for trace.
+    The product runs only this emulator. The interpreter
+    ({!Exec.step_into}, and the allocating {!Exec.step}) is its golden
+    reference, called by name from each oracle: the [emu-identity] group
+    in [test/test_emu.ml] (step-for-step lockstep), [check_trace_identity]
+    in [bench/emu_smoke.ml] (every {!Trace.generate} entry against an
+    interpreter run), [bench/emuloop.ml], and the fuzzer's lockstep
+    oracle in [lib/fuzz/oracle.ml].
 
     Register and predicate indices are static instruction fields validated
     once by [Code.create], so the specialized closures use unchecked array

@@ -19,12 +19,14 @@ val create : unit -> t
 
 (** [record t code out] folds one executed instruction (its facts read
     from the shared out-record) into the profile. The architectural
-    direction of a guarded branch is its guard. *)
+    direction of a guarded branch is its guard. Folded over
+    {!Exec.step_into}, it is the reference {!of_program} is tested
+    against. *)
 val record : t -> Wish_isa.Code.t -> Exec.out -> unit
 
 (** [of_program ?fuel program] profiles a full architectural run through
-    the compiled emulator ({!Trace.use_interpreter} falls back to the
-    reference interpreter; counts are identical either way). *)
+    the compiled emulator. The "profile" tests in [test/test_emu.ml] diff
+    it against {!record} folded over an {!Exec.step_into} run. *)
 val of_program : ?fuel:int -> Wish_isa.Program.t -> t * State.t
 
 val taken_rate : t -> int -> float

@@ -54,14 +54,12 @@ type chunk = {
 (* The paused emulator a streaming trace pulls entries from. Holds the
    compiled form of the image (closures — which Marshal rejects, but a
    *finished* trace, the only kind the artifact cache stores, has dropped
-   its gen) plus the single out-record all refills reuse. [g_compiled]
-   is [None] when {!use_interpreter} forces the reference interpreter. *)
+   its gen) plus the single out-record all refills reuse. *)
 type gen = {
   g_state : State.t;
-  g_code : Code.t;
   g_fuel : int;
   g_out : Exec.out;
-  g_compiled : Compiled.t option;
+  g_compiled : Compiled.t;
   mutable g_sink : (Exec.out -> unit) option; (* built on first refill *)
 }
 
@@ -285,11 +283,6 @@ let iter_range t ~from ~until ~f =
 
 exception Out_of_fuel = Exec.Out_of_fuel
 
-(** Force trace generation through the reference interpreter instead of
-    the compiled emulator ([--emu-interp] on the drivers). The two are
-    byte-identical — this exists to prove it, and as an A/B lever. *)
-let use_interpreter = ref false
-
 let gen_sink t g =
   match g.g_sink with
   | Some s -> s
@@ -297,16 +290,6 @@ let gen_sink t g =
     let s o = push_out t o in
     g.g_sink <- Some s;
     s
-
-(* Reference refill path: one interpreted step, one recorded entry. *)
-let refill_interp t g ~upto =
-  let st = g.g_state in
-  let o = g.g_out in
-  while t.total <= upto && not st.State.halted do
-    if st.State.retired >= g.g_fuel then raise (Out_of_fuel g.g_fuel);
-    Exec.step_into Exec.Predicate_through g.g_code st o;
-    push_out t o
-  done
 
 (** [ensure t i] makes entry [i] available, pulling the paused emulator
     forward as needed; [false] means the trace ends before [i]. The
@@ -325,15 +308,12 @@ let ensure t i =
               pre-recorded margin of %d entries)"
              i t.total);
       let st = g.g_state in
-      (if t.total <= i && not st.State.halted then
-         match g.g_compiled with
-         | Some c ->
-           (* The gen's state only ever advances through this trace, so
-              [st.retired] = [t.total] and a retired-count target is an
-              entry-count target. *)
-           Compiled.run c st g.g_out ~sink:(gen_sink t g) ~fuel:g.g_fuel
-             ~steps:(i + 1 - t.total)
-         | None -> refill_interp t g ~upto:i);
+      (* The gen's state only ever advances through this trace, so
+         [st.retired] = [t.total] and a retired-count target is an
+         entry-count target. *)
+      if t.total <= i && not st.State.halted then
+        Compiled.run g.g_compiled st g.g_out ~sink:(gen_sink t g) ~fuel:g.g_fuel
+          ~steps:(i + 1 - t.total);
       if st.halted then t.gen <- None;
       i < t.total
 
@@ -377,18 +357,7 @@ let warm_to t ~hooks ~until =
   | Some g ->
     let st = g.g_state in
     if until > t.total && not st.State.halted then begin
-      (match g.g_compiled with
-      | Some c -> Compiled.run_hooked c st g.g_out ~hooks ~fuel:g.g_fuel ~steps:(until - t.total)
-      | None ->
-        (* Reference-interpreter twin ([--emu-interp]): one step, one
-           hook dispatch by the retired pc. *)
-        let o = g.g_out in
-        while st.State.retired < until && not st.State.halted do
-          if st.State.retired >= g.g_fuel then raise (Out_of_fuel g.g_fuel);
-          Exec.step_into Exec.Predicate_through g.g_code st o;
-          let h = hooks.(o.Exec.o_pc) in
-          if h != Compiled.no_sink then h o
-        done);
+      Compiled.run_hooked g.g_compiled st g.g_out ~hooks ~fuel:g.g_fuel ~steps:(until - t.total);
       skip_to t st.State.retired;
       if st.State.halted then t.gen <- None
     end);
@@ -399,15 +368,11 @@ let no_hook = Compiled.no_sink
 let default_fuel = 200_000_000
 
 let mk_gen ?(fuel = default_fuel) program =
-  let code = Program.code program in
   {
     g_state = State.create program;
-    g_code = code;
     g_fuel = fuel;
     g_out = Exec.make_out ();
-    g_compiled =
-      (if !use_interpreter then None
-       else Some (Compiled.compile ~mode:Exec.Predicate_through code));
+    g_compiled = Compiled.compile ~mode:Exec.Predicate_through (Program.code program);
     g_sink = None;
   }
 
@@ -420,9 +385,7 @@ let mk_gen ?(fuel = default_fuel) program =
 let generate ?fuel ?hint program =
   let g = mk_gen ?fuel program in
   let t = create ?hint ~retain:true ~gen:(Some g) () in
-  (match g.g_compiled with
-  | Some c -> Compiled.run_to_halt c g.g_state g.g_out ~sink:(gen_sink t g) ~fuel:g.g_fuel
-  | None -> refill_interp t g ~upto:max_int);
+  Compiled.run_to_halt g.g_compiled g.g_state g.g_out ~sink:(gen_sink t g) ~fuel:g.g_fuel;
   t.gen <- None;
   (* A finished materialized trace may be marshalled into the artifact
      cache: drop any recycled buffers so they are not serialized. *)
@@ -431,19 +394,12 @@ let generate ?fuel ?hint program =
 
 (** [count ?fuel program] — the dynamic length {!generate} would record,
     without recording it: the same predicate-through run with the
-    per-step callback elided ({!Compiled.no_sink}), or the reference
-    interpreter under {!use_interpreter}. Raises {!Out_of_fuel} at
-    exactly the instruction {!generate} would. *)
+    per-step callback elided ({!Compiled.no_sink}). Raises
+    {!Out_of_fuel} at exactly the instruction {!generate} would. *)
 let count ?fuel program =
   let g = mk_gen ?fuel program in
   let st = g.g_state in
-  (match g.g_compiled with
-  | Some c -> Compiled.run_to_halt c st g.g_out ~sink:Compiled.no_sink ~fuel:g.g_fuel
-  | None ->
-    while not st.State.halted do
-      if st.State.retired >= g.g_fuel then raise (Out_of_fuel g.g_fuel);
-      Exec.step_into Exec.Predicate_through g.g_code st g.g_out
-    done);
+  Compiled.run_to_halt g.g_compiled st g.g_out ~sink:Compiled.no_sink ~fuel:g.g_fuel;
   st.State.retired
 
 (** [stream ?fuel ?chunk_bits program] — a lazily generated trace whose

@@ -15,7 +15,16 @@
     - {!stream} builds a *streaming* trace: chunks are generated on
       demand from a paused emulator ({!ensure}) and recycled once the
       consumer declares them dead ({!release}), keeping resident memory
-      bounded by the consumer's look-back window at any run length. *)
+      bounded by the consumer's look-back window at any run length.
+
+    Every trace is recorded by the compiled emulator ({!Compiled}). Its
+    reference is the interpreter {!Exec.step_into} in predicate-through
+    mode, and the oracles that diff the two call both by name:
+    [check_trace_identity] in [bench/emu_smoke.ml] compares every
+    {!generate} entry with a direct interpreter run, the [emu-identity]
+    group in [test/test_emu.ml] and [bench/emuloop.ml] compare whole
+    streams, and the fuzzer's lockstep oracle ([lib/fuzz/oracle.ml])
+    steps both side by side. *)
 
 type t
 
@@ -117,13 +126,6 @@ val warm_to : t -> hooks:(Exec.out -> unit) array -> until:int -> int
     straight-line instructions on an already-touched I-line with it. *)
 val no_hook : Exec.out -> unit
 
-(** Force trace generation through the reference interpreter instead of
-    the compiled emulator ({!Wish_emu.Compiled}). Byte-identical output —
-    this is the [--emu-interp] A/B lever of the drivers, and the
-    [@emu-identity] tests exist to keep the claim honest. Consult it at
-    {!generate}/{!stream} time (per trace, not per entry). *)
-val use_interpreter : bool ref
-
 (** [generate ?fuel ?hint program] runs the emulator in predicate-through
     mode to completion and records the materialized trace. [hint] — an
     approximate dynamic length ({!Wish_workloads.Bench} supplies one) —
@@ -134,7 +136,7 @@ val generate : ?fuel:int -> ?hint:int -> Wish_isa.Program.t -> t * State.t
 
 (** [count ?fuel program] — [length (fst (generate ?fuel program))]
     without recording a single entry: a predicate-through run with no
-    per-step sink (the reference interpreter under {!use_interpreter}).
+    per-step sink.
     Raises {!Out_of_fuel} at exactly the instruction {!generate} would.
     Sizes {!Wish_sim.Sampler.auto} specs for trace-free sampled runs. *)
 val count : ?fuel:int -> Wish_isa.Program.t -> int

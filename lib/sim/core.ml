@@ -28,15 +28,9 @@ type fetch_path = F_correct | F_wrong | F_phantom | F_stopped
 
 exception Deadlock of string
 
-(* Dispatch switch read by {!Runner} and {!Sampler}: [true] selects the
-   compiled core ({!Compiled}); [false] ([--sim-interp]) keeps this
-   interpreted reference. *)
-let use_compiled = ref true
-
 (* Decoded-µop memo: every per-static-PC fact the fetch path derives from
    an instruction, computed once and reused for every dynamic instance.
-   A direct array over the code image (kernel images are small); the
-   toggle exists so the test suite can assert memo-on ≡ memo-off. *)
+   A direct array over the code image (kernel images are small). *)
 type dinfo = {
   d_exec_class : Uop.exec_class;
   d_is_branch : bool;
@@ -47,8 +41,6 @@ type dinfo = {
   d_pred_dests : Reg.preg list;
   d_complement_pair : (Reg.preg * Reg.preg) option;
 }
-
-let decode_memo_enabled = ref true
 
 (* Completion events live in a {!Wheel}: one bucket per future cycle.
    The horizon exceeds any single-access latency (L1+L2+300-cycle
@@ -138,7 +130,7 @@ type warm_state = {
 type t = {
   config : Config.t;
   code : Code.t;
-  decode : dinfo option array; (* per-static-PC µop-translation memo; [||] disables *)
+  decode : dinfo option array; (* per-static-PC µop-translation memo *)
   oracle : Oracle.t;
   hybrid : Hybrid.t;
   btb : Btb.t;
@@ -168,7 +160,6 @@ type t = {
   release_trace : bool; (* false inside a detailed sampling window *)
   mutable retired_trace_idx : int; (* highest trace index retired so far *)
   mem_words : int;
-  trace_fwd : bool; (* WISH_TRACE_FWD debug stream enabled *)
   (* µop free pools (plain / branch-carrying): retired and squashed µops
      are reinitialized instead of reallocated, so steady-state fetch
      allocates nothing. Pool occupancy is bounded by the maximum number
@@ -195,7 +186,7 @@ let create ?warm ?(start_cursor = 0) ?start_pc ?(release_trace = true) config
   {
     config;
     code;
-    decode = (if !decode_memo_enabled then Array.make (Code.length code) None else [||]);
+    decode = Array.make (Code.length code) None;
     oracle;
     hybrid =
       (match warm with Some w -> w.warm_hybrid | None -> Hybrid.create config.Config.bpred);
@@ -229,7 +220,6 @@ let create ?warm ?(start_cursor = 0) ?start_pc ?(release_trace = true) config
     release_trace;
     retired_trace_idx = start_cursor - 1;
     mem_words = program.mem_words;
-    trace_fwd = Sys.getenv_opt "WISH_TRACE_FWD" <> None;
     pool_plain = [];
     pool_branch = [];
   }
@@ -270,14 +260,12 @@ let dinfo_of (inst : Inst.t) =
 (* The fetch path decodes via this memo; [pc] is always in code range
    there (fetch checks before reading the image). *)
 let dinfo_at t pc (inst : Inst.t) =
-  if Array.length t.decode = 0 then dinfo_of inst
-  else
-    match Array.unsafe_get t.decode pc with
-    | Some d -> d
-    | None ->
-      let d = dinfo_of inst in
-      Array.unsafe_set t.decode pc (Some d);
-      d
+  match Array.unsafe_get t.decode pc with
+  | Some d -> d
+  | None ->
+    let d = dinfo_of inst in
+    Array.unsafe_set t.decode pc (Some d);
+    d
 
 (* Synthesized wrong-path data address: deterministic and in range. *)
 let synth_addr t pc = Wish_util.Rng.hash_int pc mod t.mem_words * Code.word_bytes
@@ -529,13 +517,6 @@ let translate_plain t ~pc ~(inst : Inst.t) ~(di : dinfo) ~path ~(entry : Oracle.
   if pdsts <> [] then
     Wish_fsm.on_decode_writes t.fsm pdsts ~complement_pair:di.d_complement_pair;
   let guard_forwarded = forwarded <> None || knobs.no_depend in
-  if t.trace_fwd then
-    Printf.eprintf "fwd pc=%d guard=%d forwarded=%b mode=%s\n" pc inst.guard
-      (forwarded <> None)
-      (match Wish_fsm.mode t.fsm with
-      | Uop.Normal -> "N"
-      | Uop.High_conf -> "H"
-      | Uop.Low_conf -> "L");
   let consumes = entry <> None in
   let predicated = inst.guard <> Reg.p0 && not guard_forwarded in
   match t.config.mech with

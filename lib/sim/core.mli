@@ -14,7 +14,15 @@
     penalty of Table 2.
 
     Statistics are exposed through {!stats} as named counters; see
-    {!Runner} for the digest most callers want. *)
+    {!Runner} for the digest most callers want.
+
+    This is the readable reference of the timing core. The product runs
+    the compiled core ({!Compiled}); the oracles that diff the two call
+    each by name: the measurement-window test in [test/test_sim.ml] and
+    the interpreted-exact runner of "canonical config unobservable" in
+    [test/test_experiments.ml], [run_interp]/[run_compiled] in
+    [bench/sim_smoke.ml] and [bench/simloop.ml], and the fuzzer's sim
+    oracle ([lib/fuzz/oracle.ml]). *)
 
 type t
 
@@ -31,16 +39,6 @@ type warm_state = {
   warm_loop : Wish_bpred.Loop_pred.t;
   warm_hier : Wish_mem.Hierarchy.t;
 }
-
-(** Per-static-PC µop-translation memo toggle (default on; the test
-    suite turns it off to assert identical summaries). Read at {!create}
-    time. *)
-val decode_memo_enabled : bool ref
-
-(** Dispatch switch read by {!Runner} and {!Sampler}: [true] (the
-    default) selects the compiled core ({!Compiled}); [false]
-    ([--sim-interp]) keeps this interpreted reference implementation. *)
-val use_compiled : bool ref
 
 (** [create config program trace] — the classic whole-run core. Sampled
     simulation opens a detailed measurement window mid-trace with [warm]

@@ -15,25 +15,6 @@ type summary = {
   mem : Wish_mem.Hierarchy.stats;
 }
 
-let summarize_parts stats cycles mem =
-  let g = Wish_util.Stats.get stats in
-  {
-    cycles;
-    dynamic_insts = 0;
-    retired_uops = g "retired_correct";
-    retired_phantom = g "retired_phantom";
-    fetched_uops = g "fetched_uops";
-    flushes = g "flushes";
-    mispredicts = g "mispredicts_retired";
-    cond_branches = g "cond_branches_retired";
-    upc =
-      (if cycles = 0 then 0.0 else float_of_int (g "retired_correct") /. float_of_int cycles);
-    stats;
-    mem;
-  }
-
-let summarize core = summarize_parts (Core.stats core) (Core.cycles core) (Core.hier_stats core)
-
 (** [simulate ?config ?streaming ?trace program] — [trace] may be
     supplied to reuse a previously generated trace for the same program.
     [streaming] (default [false]) fuses emulation into simulation: the
@@ -52,59 +33,46 @@ let simulate ?(config = Config.default) ?(streaming = false) ?trace
         let t, _final = Wish_emu.Trace.generate program in
         t
   in
-  let s =
-    if !Core.use_compiled then begin
-      let core = Compiled.create config program trace in
-      ignore (Compiled.run core);
-      summarize_parts (Compiled.stats core) (Compiled.cycles core) (Compiled.hier_stats core)
-    end
-    else begin
-      let core = Core.create config program trace in
-      ignore (Core.run core);
-      summarize core
-    end
-  in
-  (* A streamed trace has been pulled through its final entry by the time
-     the core retires Halt, so [length] is the full dynamic count here too. *)
-  { s with dynamic_insts = Wish_emu.Trace.length trace }
+  let core = Compiled.run (Compiled.create config program trace) in
+  let stats = Compiled.stats core and cycles = Compiled.cycles core in
+  let g = Wish_util.Stats.get stats in
+  {
+    cycles;
+    (* A streamed trace has been pulled through its final entry by the
+       time the core retires Halt, so [length] is the full dynamic count
+       here too. *)
+    dynamic_insts = Wish_emu.Trace.length trace;
+    retired_uops = g "retired_correct";
+    retired_phantom = g "retired_phantom";
+    fetched_uops = g "fetched_uops";
+    flushes = g "flushes";
+    mispredicts = g "mispredicts_retired";
+    cond_branches = g "cond_branches_retired";
+    upc =
+      (if cycles = 0 then 0.0 else float_of_int (g "retired_correct") /. float_of_int cycles);
+    stats;
+    mem = Compiled.hier_stats core;
+  }
 
 (** [simulate_sampled] — the sampled counterpart of {!simulate}: same
     summary shape, numbers estimated from the measurement windows, plus
     the full {!Sampler.report}. The headline counters (cycles, retired
     µops, mispredicts) use the sampler's stratified estimates; secondary
     counters are expanded with the plain measured-fraction ratio. *)
-let simulate_sampled ?(config = Config.default) ?pool ?(spec : Sampler.spec option)
-    ?(streaming = false) ?trace (program : Wish_isa.Program.t) =
+let simulate_sampled ?(config = Config.default) ?pool ?(spec : Sampler.spec option) ?trace
+    (program : Wish_isa.Program.t) =
   let r =
-    match (trace, spec) with
-    | None, Some spec when !Sampler.use_fused ->
-      (* No caller-supplied trace: warm trace-free through the fused path
-         (report bit-identical to sampling a streamed trace; [--warm-trace]
-         flips back to the reference below). *)
-      Sampler.run_fused ?pool ~config ~spec program
-    | None, None when !Sampler.use_fused && not streaming ->
-      (* An auto spec is sized by a count-only emulator run instead of a
-         materialized trace's length. *)
-      let spec = Sampler.auto ~length:(Wish_emu.Trace.count program) in
-      Sampler.run_fused ?pool ~config ~spec program
-    | _ ->
-      let trace =
-        match trace with
-        | Some t -> t
-        | None ->
-          if streaming then Wish_emu.Trace.stream program
-          else
-            let t, _final = Wish_emu.Trace.generate program in
-            t
-      in
+    match trace with
+    | None ->
+      (* Warm trace-free; an auto spec is sized by a count-only emulator
+         run instead of a materialized trace's length. *)
       let spec =
-        match spec with
-        | Some s -> s
-        | None ->
-          (* A streaming trace's length is unknown up front; scale the auto
-             spec to it only when it is already materialized. *)
-          if Wish_emu.Trace.is_streaming trace then Sampler.default_spec
-          else Sampler.auto ~length:(Wish_emu.Trace.length trace)
+        match spec with Some s -> s | None -> Sampler.auto ~length:(Wish_emu.Trace.count program)
+      in
+      Sampler.run_fused ?pool ~config ~spec program
+    | Some trace ->
+      let spec =
+        match spec with Some s -> s | None -> Sampler.auto ~length:(Wish_emu.Trace.length trace)
       in
       Sampler.run ?pool ~config ~spec program trace
   in

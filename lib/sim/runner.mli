@@ -19,7 +19,8 @@ type summary = {
     a previously generated trace for the same program, or [~streaming:true]
     to fuse emulation into simulation through a bounded-memory streaming
     trace (identical summary, peak trace residency independent of run
-    length). *)
+    length). The run uses the compiled core ({!Compiled}); the header of
+    its reference {!Core} lists the oracles that diff the two. *)
 val simulate :
   ?config:Config.t ->
   ?streaming:bool ->
@@ -27,24 +28,22 @@ val simulate :
   Wish_isa.Program.t ->
   summary
 
-(** [simulate_sampled ?pool ?spec ...] — sampled counterpart of
+(** [simulate_sampled ?pool ?spec ?trace ...] — sampled counterpart of
     {!simulate}: functional warming plus detailed measurement windows
     (see {!Sampler}), returning an estimated summary of the same shape
-    together with the full sampling report. [spec] defaults to
-    {!Sampler.auto} for a materialized trace and {!Sampler.default_spec}
-    for a streaming one; [pool] fans detailed windows out in parallel.
-    With no caller-supplied [trace], warming runs trace-free through
-    {!Sampler.run_fused} (bit-identical report); an auto spec is then
-    sized by {!Wish_emu.Trace.count} instead of a materialized trace.
-    {!Sampler.use_fused} — the [--warm-trace] driver lever — restores
-    the trace-based reference loop. The summary's [stats] bag carries the
+    together with the full sampling report; [pool] fans detailed windows
+    out in parallel. With no [trace], warming runs trace-free through
+    {!Sampler.run_fused} and an omitted [spec] is {!Sampler.auto} sized
+    by {!Wish_emu.Trace.count}. A supplied [trace] (materialized, when
+    [spec] is omitted: the auto spec is sized by its {!Wish_emu.Trace.length})
+    is sampled by the trace-based reference {!Sampler.run}; the report is
+    bit-identical either way. The summary's [stats] bag carries the
     measured window sums ([sample_windows], [sample_measured_entries],
     raw counter sums), not whole-run counts. *)
 val simulate_sampled :
   ?config:Config.t ->
   ?pool:Wish_util.Pool.t ->
   ?spec:Sampler.spec ->
-  ?streaming:bool ->
   ?trace:Wish_emu.Trace.t ->
   Wish_isa.Program.t ->
   summary * Sampler.report

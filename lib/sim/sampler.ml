@@ -8,10 +8,10 @@
       outcomes, but no µop is allocated, no OOO timing is modelled and no
       event wheel turns. Control-dependent penalties dominate pipeline
       behaviour, so this state must never go cold between measurements.
-    - {e detailed measurement windows}: short stretches run on the real
-      {!Core}, seeded with a copy of the warm state. The first quarter of
-      each window is a detailed-warmup lead (pipeline and ROB fill) that
-      is excluded from measurement.
+    - {e detailed measurement windows}: short stretches run on the
+      compiled timing core ({!Compiled}), seeded with a copy of the warm
+      state. The first quarter of each window is a detailed-warmup lead
+      (pipeline and ROB fill) that is excluded from measurement.
 
     Cycle counts and rates are then extrapolated with a ratio estimator
     (Σcycles/Σentries over the measured windows), and the per-window
@@ -277,11 +277,6 @@ let warm_state_at ~config program trace i =
 (* Fused (trace-free) warming                                          *)
 (* ----------------------------------------------------------------- *)
 
-(** Run warming fused into the compiled emulator (the default). The
-    trace-based loop above stays behind this flag as the golden
-    reference, mirroring the [--emu-interp]/[--sim-interp] levers. *)
-let use_fused = ref true
-
 (* Per-pc warm hooks for {!Trace.warm_to}: [warm_entry] re-specialized
    so that everything static — the warm-plan class, the I-line index and
    its L1I set/tag, the BTB set/tag and entry record, the wish/loop/conf
@@ -452,35 +447,15 @@ type checkpoint = { c_start : int; c_lead : int; c_warm : Core.warm_state }
 let run_window ~config ~program ~trace ~detail ck =
   let start = ck.c_start in
   let lead = ck.c_lead in
-  let start_pc = Trace.pc trace start in
-  (* Uniform view over the interpreted and compiled cores: window
-     measurement only needs stats access, bounded running, and the
-     retired-entry / cycle cursors. *)
-  let g, run_until, retired_idx, cycles =
-    if !Core.use_compiled then begin
-      let core =
-        Compiled.create ~warm:ck.c_warm ~start_cursor:start ~start_pc ~release_trace:false
-          config program trace
-      in
-      ( Stats.get (Compiled.stats core),
-        (fun stop_idx -> ignore (Compiled.run_until core ~stop_idx)),
-        (fun () -> Compiled.retired_trace_idx core),
-        fun () -> Compiled.cycles core )
-    end
-    else begin
-      let core =
-        Core.create ~warm:ck.c_warm ~start_cursor:start ~start_pc ~release_trace:false config
-          program trace
-      in
-      ( Stats.get (Core.stats core),
-        (fun stop_idx -> ignore (Core.run_until core ~stop_idx)),
-        (fun () -> Core.retired_trace_idx core),
-        fun () -> Core.cycles core )
-    end
+  let core =
+    Compiled.create ~warm:ck.c_warm ~start_cursor:start ~start_pc:(Trace.pc trace start)
+      ~release_trace:false config program trace
   in
+  let g = Stats.get (Compiled.stats core) in
+  let run_until stop_idx = ignore (Compiled.run_until core ~stop_idx) in
   run_until (start + lead);
-  let lo = retired_idx () in
-  let c0 = cycles () in
+  let lo = Compiled.retired_trace_idx core in
+  let c0 = Compiled.cycles core in
   let u0 = g "retired_correct"
   and ph0 = g "retired_phantom"
   and f0 = g "fetched_uops"
@@ -488,11 +463,11 @@ let run_window ~config ~program ~trace ~detail ck =
   and m0 = g "mispredicts_retired"
   and b0 = g "cond_branches_retired" in
   run_until (start + lead + detail);
-  let hi = retired_idx () in
+  let hi = Compiled.retired_trace_idx core in
   {
     w_start = lo + 1;
     w_entries = hi - lo;
-    w_cycles = cycles () - c0;
+    w_cycles = Compiled.cycles core - c0;
     w_uops = g "retired_correct" - u0;
     w_phantom = g "retired_phantom" - ph0;
     w_fetched = g "fetched_uops" - f0;

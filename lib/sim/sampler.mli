@@ -3,8 +3,8 @@
     Alternates cheap {e functional-warming} intervals — the trace cursor
     advances at architectural speed, updating only long-lived state
     (predictors, BTB, RAS, confidence estimator, cache tags) — with short
-    {e detailed measurement windows} run on the real {!Core} from a copy
-    of the warm state. Rates (µPC, mispredictions per 1K µops) come from
+    {e detailed measurement windows} run on the compiled timing core
+    ({!Compiled}) from a copy of the warm state. Rates (µPC, mispredictions per 1K µops) come from
     the measured windows with a 95% confidence interval; total cycles are
     extrapolated with a ratio estimator.
 
@@ -71,19 +71,16 @@ type report = {
 val warm_state_at :
   config:Config.t -> Wish_isa.Program.t -> Wish_emu.Trace.t -> int -> Core.warm_state
 
-(** Run warming fused into the compiled emulator (the default for
-    trace-free sampled runs; see {!run_fused}). The trace-based loop
-    stays behind this flag as the golden reference — the [--warm-trace]
-    driver lever, mirroring [--emu-interp]/[--sim-interp]. *)
-val use_fused : bool ref
-
 (** [fused_warm_state_at ~config program i] — {!warm_state_at} computed
     trace-free: per-pc warm hooks run inside the compiled emulator, no
     entry is ever encoded. Bit-identical to the trace-based state. *)
 val fused_warm_state_at : config:Config.t -> Wish_isa.Program.t -> int -> Core.warm_state
 
-(** [run ?pool ~config ~spec program trace] — sample the whole trace.
-    With [pool] (materialized traces only — the pool is ignored for
+(** [run ?pool ~config ~spec program trace] — sample the whole trace,
+    warming from its recorded entries. This is the readable reference of
+    {!run_fused}, which the product runs; the [fused] group in
+    [test/test_sim.ml], [@sample-smoke] and [bench/sampleloop.ml] call
+    both and diff their reports. With [pool] (materialized traces only — the pool is ignored for
     streaming traces) detailed windows fan out across the pool's domains
     in batches. Placement is stratified: the head region [0, period) —
     the initialization ramp systematic sampling would otherwise skip or

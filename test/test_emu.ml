@@ -463,6 +463,32 @@ let workload_program name =
     (Wish_compiler.Compiler.binary bins Wish_compiler.Policy.Wish_jjl)
     "A"
 
+(* [Profile.of_program] (compiled emulator, per-pc kind table) against
+   its reference: [Profile.record] folded over an interpreted run. *)
+let test_profile_matches_reference () =
+  List.iter
+    (fun name ->
+      let program = workload_program name in
+      let code = Program.code program in
+      let fast, _ = Profile.of_program program in
+      let reference = Profile.create () in
+      let st = State.create program and o = Exec.make_out () in
+      while not st.State.halted do
+        Exec.step_into Exec.Architectural code st o;
+        Profile.record reference code o
+      done;
+      let counts (p : Profile.t) =
+        ( [ p.dynamic_insts; p.dynamic_cond_branches; p.dynamic_wish_branches;
+            p.dynamic_wish_loops; p.guard_false_insts; p.loads; p.stores ],
+          List.sort compare
+            (Hashtbl.fold
+               (fun pc (c : Profile.branch_stats) acc -> (pc, c.executed, c.taken) :: acc)
+               p.branches []) )
+      in
+      Alcotest.(check bool) (name ^ ": profile equals reference") true
+        (counts fast = counts reference))
+    [ "gzip"; "mcf" ]
+
 (* Every Table 4 workload, both modes, full run in lockstep. *)
 let test_lockstep_workloads () =
   List.iter
@@ -639,6 +665,7 @@ let () =
       ( "profile",
         [
           Alcotest.test_case "counts" `Quick test_profile_counts;
+          Alcotest.test_case "matches reference" `Quick test_profile_matches_reference;
           Alcotest.test_case "outcome ignores registers" `Quick test_outcome_ignores_registers;
         ] );
       ( "emu-identity",

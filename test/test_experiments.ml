@@ -306,7 +306,6 @@ let test_lab_sampled_matches_materialized () =
 let test_trace_count_matches_generate () =
   let lab = Lab.create ~scale:1 () in
   let outcome f = match f () with n -> Ok n | exception Trace.Out_of_fuel n -> Error n in
-  Fun.protect ~finally:(fun () -> Trace.use_interpreter := false) @@ fun () ->
   List.iter
     (fun bench ->
       List.iter
@@ -314,22 +313,17 @@ let test_trace_count_matches_generate () =
           let p = Lab.program lab ~bench ~kind ~input:Lab.eval_input in
           let what = Printf.sprintf "%s/%s" bench (Policy.kind_name kind) in
           let n = Trace.length (fst (Trace.generate p)) in
+          check Alcotest.int (what ^ " count") n (Trace.count p);
+          (* Fuel parity: the same verdict as generate at, just under,
+             and far below the dynamic length. *)
           List.iter
-            (fun interp ->
-              Trace.use_interpreter := interp;
-              let what = what ^ if interp then " (interpreter)" else "" in
-              check Alcotest.int (what ^ " count") n (Trace.count p);
-              (* Fuel parity: the same verdict as generate at, just under,
-                 and far below the dynamic length. *)
-              List.iter
-                (fun fuel ->
-                  check
-                    Alcotest.(result int int)
-                    (Printf.sprintf "%s fuel %d" what fuel)
-                    (outcome (fun () -> Trace.length (fst (Trace.generate ~fuel p))))
-                    (outcome (fun () -> Trace.count ~fuel p)))
-                [ n; n - 1; 1_000 ])
-            [ false; true ])
+            (fun fuel ->
+              check
+                Alcotest.(result int int)
+                (Printf.sprintf "%s fuel %d" what fuel)
+                (outcome (fun () -> Trace.length (fst (Trace.generate ~fuel p))))
+                (outcome (fun () -> Trace.count ~fuel p)))
+            [ n; n - 1; 1_000 ])
         Wish_compiler.Compiler.all_kinds)
     (Lab.bench_names lab)
 
@@ -538,9 +532,10 @@ let wish_field_variants =
 
 let test_canonical_config_unobservable () =
   (* Each reset field, varied alone, must leave every wish-free binary's
-     summary unchanged on both timing cores, exact and Sample_auto; and
-     the content key must not see it. The reference is the compiled
-     core's default-config run; the runs fan over two domains. *)
+     result unchanged, and the content key must not see it. Three
+     runners are checked, each against its own default-config run: the
+     compiled exact product path, the interpreted reference core over a
+     generated trace, and Sample_auto. The runs fan over two domains. *)
   let lab = Lab.create ~scale:1 () in
   List.iter
     (fun (field, config) ->
@@ -569,10 +564,19 @@ let test_canonical_config_unobservable () =
             (key Config.default) (key config))
         wish_field_variants)
     programs;
+  let interpreted_exact config p =
+    let core = Wish_sim.Core.run (Wish_sim.Core.create config p (fst (Trace.generate p))) in
+    let m = Wish_sim.Core.hier_stats core in
+    Format.asprintf "cycles=%d %a mem=%d/%d/%d/%d/%d/%d" (Wish_sim.Core.cycles core)
+      (Fmt.list ~sep:Fmt.comma (Fmt.pair ~sep:(Fmt.any "=") Fmt.string Fmt.int))
+      (Wish_util.Stats.to_assoc (Wish_sim.Core.stats core))
+      m.l1i_accesses m.l1i_misses m.l1d_accesses m.l1d_misses m.l2_accesses m.l2_misses
+  in
   let modes =
     [
-      ("exact", fun config p -> Runner.simulate ~config ~streaming:true p);
-      ("Sample_auto", fun config p -> fst (Runner.simulate_sampled ~config p));
+      ("exact", fun config p -> full_repr (Runner.simulate ~config ~streaming:true p));
+      ("interpreted exact", interpreted_exact);
+      ("Sample_auto", fun config p -> full_repr (fst (Runner.simulate_sampled ~config p)));
     ]
   in
   let cases =
@@ -582,31 +586,18 @@ let test_canonical_config_unobservable () =
       programs
   in
   let pool = Wish_util.Pool.create ~size:2 () in
-  Fun.protect ~finally:(fun () ->
-      Wish_sim.Core.use_compiled := true;
-      Wish_util.Pool.shutdown pool)
-  @@ fun () ->
-  let runs configs =
-    Wish_util.Pool.map pool
-      (fun (_, sim, p) -> List.map (fun config -> full_repr (sim config p)) configs)
-      cases
-  in
-  let variants = List.map snd wish_field_variants in
-  let reference = runs [ Config.default ] in
-  List.iter
-    (fun compiled ->
-      Wish_sim.Core.use_compiled := compiled;
-      List.iter2
-        (fun ((what, _, _), reference) varied ->
-          List.iter2
-            (fun (field, _) v ->
-              check Alcotest.string
-                (Printf.sprintf "%s %s core, %s varied" what
-                   (if compiled then "compiled" else "interpreted") field)
-                (List.hd reference) v)
-            wish_field_variants varied)
-        (List.combine cases reference) (runs variants))
-    [ true; false ]
+  Fun.protect ~finally:(fun () -> Wish_util.Pool.shutdown pool) @@ fun () ->
+  let configs = Config.default :: List.map snd wish_field_variants in
+  let runs = Wish_util.Pool.map pool (fun (_, sim, p) -> List.map (fun c -> sim c p) configs) cases in
+  List.iter2
+    (fun (what, _, _) -> function
+      | reference :: varied ->
+        List.iter2
+          (fun (field, _) v ->
+            check Alcotest.string (Printf.sprintf "%s, %s varied" what field) reference v)
+          wish_field_variants varied
+      | [] -> assert false)
+    cases runs
 
 let test_shared_faults () =
   (* gzip's BASE-DEF binary is its normal binary byte for byte. *)

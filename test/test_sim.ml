@@ -303,19 +303,6 @@ let test_icache_cold_stalls_counted () =
   let s = simulate Asm.[ movi 3 1; halt ] in
   Alcotest.(check bool) "first line fetch missed" true (s.mem.l1i_misses >= 1)
 
-(* Decoded-µop memo ------------------------------------------------------------------- *)
-
-let test_decode_memo_identical () =
-  (* The per-PC decode memo is a pure cache: switching it off must not
-     change a single architectural or timing number. *)
-  let run () = simulate ~data:coin_data (hammock_kernel ~wish:true ~iters:300) in
-  let on = run () in
-  Core.decode_memo_enabled := false;
-  let off = Fun.protect ~finally:(fun () -> Core.decode_memo_enabled := true) run in
-  Alcotest.(check (list int)) "summary identical" (summary_fields on) (summary_fields off);
-  check Alcotest.int "cond branches identical" on.cond_branches off.cond_branches;
-  check Alcotest.int "fetched uops identical" on.fetched_uops off.fetched_uops
-
 (* Sampled simulation ----------------------------------------------------------------- *)
 
 let sampled_fixture =
@@ -376,15 +363,13 @@ let test_sampler_tiny_trace_is_exact () =
 
 (* Fused (trace-free) warming --------------------------------------------------------- *)
 
-let workload_program name =
+let workload_program ?(kind = Wish_compiler.Policy.Wish_jjl) name =
   let bench = Wish_workloads.Workloads.find ~scale:1 name in
   let bins =
     Wish_compiler.Compiler.compile_all ~mem_words:bench.mem_words ~name:bench.name
       ~profile_data:(Wish_workloads.Bench.profile_data bench) bench.ast
   in
-  Wish_workloads.Bench.program_for bench
-    (Wish_compiler.Compiler.binary bins Wish_compiler.Policy.Wish_jjl)
-    "A"
+  Wish_workloads.Bench.program_for bench (Wish_compiler.Compiler.binary bins kind) "A"
 
 (* Probe two warm states through every observable the detailed core reads
    of them, in the same order on both (probes refresh LRU recency, so
@@ -467,6 +452,49 @@ let test_fused_parallel_identical () =
   in
   Alcotest.(check bool) "pooled fused run identical" true (compare parallel serial = 0)
 
+(* Measurement windows ------------------------------------------------------------------ *)
+
+let test_window_core_matches_compiled () =
+  (* A sampled run's detailed window: a core opened mid-trace on a warm
+     state ([?warm ?start_cursor ?start_pc ~release_trace:false]), run to
+     the end of its unmeasured lead, then to its stop index. The
+     reference core and the compiled core must agree at both stops on
+     cycles, the full stats bag, the hierarchy counters and the retired
+     trace cursor. Each core owns its warm state, so each gets a fresh
+     one. *)
+  let config = Config.default in
+  List.iter
+    (fun (name, kind) ->
+      let program = workload_program ~kind name in
+      let trace, _ = Wish_emu.Trace.generate program in
+      let start = Wish_emu.Trace.length trace / 2 in
+      let start_pc = Wish_emu.Trace.pc trace start in
+      let warm () = Sampler.warm_state_at ~config program trace start in
+      let core =
+        Core.create ~warm:(warm ()) ~start_cursor:start ~start_pc ~release_trace:false config
+          program trace
+      and compiled =
+        Compiled.create ~warm:(warm ()) ~start_cursor:start ~start_pc ~release_trace:false config
+          program trace
+      in
+      List.iter
+        (fun stop_idx ->
+          let c = Core.run_until core ~stop_idx and k = Compiled.run_until compiled ~stop_idx in
+          let what field =
+            Printf.sprintf "%s/%s window to %d: %s" name (Wish_compiler.Policy.kind_name kind)
+              stop_idx field
+          in
+          check Alcotest.int (what "cycles") (Core.cycles c) (Compiled.cycles k);
+          Alcotest.(check (list (pair string int)))
+            (what "stats")
+            (Wish_util.Stats.to_assoc (Core.stats c))
+            (Wish_util.Stats.to_assoc (Compiled.stats k));
+          Alcotest.(check bool) (what "hierarchy") true (Core.hier_stats c = Compiled.hier_stats k);
+          check Alcotest.int (what "retired trace index") (Core.retired_trace_idx c)
+            (Compiled.retired_trace_idx k))
+        [ start + 500; start + 2_500 ])
+    Wish_compiler.Policy.[ ("gzip", Wish_jjl); ("mcf", Base_max) ]
+
 let () =
   Alcotest.run "wish_sim"
     [
@@ -512,8 +540,6 @@ let () =
         ] );
       ("select", [ Alcotest.test_case "select-uop expands" `Quick test_select_uop_expands ]);
       ("icache", [ Alcotest.test_case "cold stall" `Quick test_icache_cold_stalls_counted ]);
-      ( "decode_memo",
-        [ Alcotest.test_case "memo on/off identical" `Quick test_decode_memo_identical ] );
       ( "sampling",
         [
           Alcotest.test_case "report well-formed" `Quick test_sampler_report_well_formed;
@@ -526,4 +552,6 @@ let () =
           Alcotest.test_case "report identical" `Quick test_fused_report_identical;
           Alcotest.test_case "parallel == serial" `Quick test_fused_parallel_identical;
         ] );
+      ( "window",
+        [ Alcotest.test_case "core == compiled" `Quick test_window_core_matches_compiled ] );
     ]
